@@ -7,7 +7,7 @@ simulated semantics (and say so in the PR):
 
     PYTHONPATH=src python tests/golden/generate_fixtures.py
 
-Two fixtures:
+Three fixtures:
 
 * ``pinned_grid_records.json`` — the 16-cell pinned bench grid
   (``repro.tools.bench.PINNED_GRID``) executed on the serial reference
@@ -19,6 +19,11 @@ Two fixtures:
   fixed chunk set between coordinated checkpoints.  Captures every
   ``CheckpointStats`` field per checkpoint plus the pre-copy engine's
   accounting — the exact schedule each policy produces.
+* ``fine_chunks_records.json`` — a 2-cell synthetic grid (80 MB per
+  rank in 0.625 MB chunks, i.e. 128 equal-size chunks per rank, under
+  dcpc and dcpcp) on the serial reference path.  Every chunk has the
+  same size, so the pre-copy engine's tie-break (earliest insertion
+  into its dirty index) decides every pick.
 """
 
 from __future__ import annotations
@@ -124,12 +129,41 @@ def pinned_grid_records() -> list:
     return report.records
 
 
+#: the 128-chunks-per-rank grid: 2 nodes x 4 ranks, local interval
+#: 20 s, remote interval 60 s, synthetic app, 80 MB in 0.625 MB chunks
+FINE_CHUNKS_GRID = (
+    [
+        "--nodes", "2", "--ranks-per-node", "4",
+        "--local-interval", "20", "--remote-interval", "60",
+        "--app", "synthetic", "--iterations", "7",
+        "--checkpoint-mb", "80", "--chunk-mb", "0.625",
+        "--seed", "1",
+    ],
+    ["mode=dcpc,dcpcp"],
+)
+
+
+def fine_chunks_records() -> list:
+    from repro.exec.grid import run_grid
+    from repro.tools.sweep import parse_sweeps
+
+    base_args, axes_specs = FINE_CHUNKS_GRID
+    report = run_grid(base_args, parse_sweeps(list(axes_specs)), workers=1, cache=None)
+    return report.records
+
+
 def main() -> int:
     grid = pinned_grid_records()
     with open(os.path.join(FIXTURE_DIR, "pinned_grid_records.json"), "w") as fh:
         json.dump(grid, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"pinned_grid_records.json: {len(grid)} cells")
+
+    fine = fine_chunks_records()
+    with open(os.path.join(FIXTURE_DIR, "fine_chunks_records.json"), "w") as fh:
+        json.dump(fine, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"fine_chunks_records.json: {len(fine)} cells")
 
     schedules = [standalone_schedule(mode) for mode in MODES]
     with open(os.path.join(FIXTURE_DIR, "standalone_schedules.json"), "w") as fh:

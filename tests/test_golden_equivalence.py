@@ -87,3 +87,14 @@ def test_pinned_grid_matches_golden():
     live = _roundtrip(gen.pinned_grid_records())
     assert len(live) == 16
     assert live == stored
+
+
+def test_fine_chunks_grid_matches_golden():
+    """128 equal-size chunks per rank under dcpc and dcpcp: every
+    pre-copy pick is decided by the engine's tie-break (earliest
+    insertion into its dirty index), so any drift in the incremental
+    eligibility index shows up here as a changed record."""
+    stored = _fixture("fine_chunks_records.json")
+    live = _roundtrip(gen.fine_chunks_records())
+    assert len(live) == 2
+    assert live == stored
