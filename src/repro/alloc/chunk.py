@@ -81,22 +81,28 @@ class Chunk:
         self.dram = dram_buffer
         #: NVM shadow regions; 1 (single-version mode) or 2 entries.
         self.versions: List[NvmRegion] = nvm_versions or []
-        #: index of the last fully committed version, or -1 if none.
-        self.committed_version = -1
+        #: index of the last fully committed version, or -1 if none
+        #: (see the ``committed_version`` property).
+        self._committed_version = -1
         #: checksum of each version's committed payload (None until set).
         self.checksums: List[Optional[int]] = [None] * max(1, len(self.versions))
         self._clock = clock
 
         # -- dirt / protection state -------------------------------------
-        self.dirty_local = True  # fresh chunks must enter the first ckpt
-        self.dirty_remote = True
+        #: per-stream dirty bits (read through ``dirty_local`` /
+        #: ``dirty_remote``, changed through :meth:`set_dirty`); fresh
+        #: chunks must enter the first checkpoint
+        self._dirty_local = True
+        self._dirty_remote = True
         self.protected = False
         #: per-stream copy state: the local stream (shadow buffering /
         #: local pre-copy) and the remote stream (helper) may operate
         #: on the same chunk concurrently — they read the same DRAM
-        #: copy but write different destinations.
-        self.state_local = ChunkState.IDLE
-        self.state_remote = ChunkState.IDLE
+        #: copy but write different destinations.  Read through
+        #: ``state_local`` / ``state_remote``, changed through
+        #: :meth:`set_state`.
+        self._state_local = ChunkState.IDLE
+        self._state_remote = ChunkState.IDLE
         #: total protection faults taken against this chunk.
         self.fault_count = 0
         #: modifications in the current checkpoint interval.
@@ -114,6 +120,15 @@ class Chunk:
         self.bytes_copied_remote = 0
         #: observers called as fn(chunk, time) on every dirtying write.
         self.on_dirty: List[Callable[["Chunk", float], None]] = []
+        #: observers called as fn(chunk) whenever a dirty bit or a
+        #: stream's copy state changes (pre-copy engines keep their
+        #: eligible sets current through this)
+        self.on_state_change: List[Callable[["Chunk"], None]] = []
+        #: observers called as fn(chunk) when the committed-version
+        #: pointer (and with it the checksums) changes — the fields of
+        #: the chunk's persisted metadata record that move outside the
+        #: allocator
+        self.on_commit: List[Callable[["Chunk"], None]] = []
         #: protection granularity: chunk-level (the paper's design —
         #: one fault unprotects the whole chunk) vs page-level (the
         #: strawman §IV argues against: every protected page written
@@ -196,8 +211,11 @@ class Chunk:
             self.protected = False
             self.fault_count += faults
         now = self._clock()
-        self.dirty_local = True
-        self.dirty_remote = True
+        changed = not (self._dirty_local and self._dirty_remote)
+        self._dirty_local = True
+        self._dirty_remote = True
+        if changed:
+            self._state_changed()
         self.mods_this_interval += 1
         self.total_mods += 1
         self.last_modified = now
@@ -248,6 +266,16 @@ class Chunk:
     @property
     def n_versions(self) -> int:
         return len(self.versions)
+
+    @property
+    def committed_version(self) -> int:
+        return self._committed_version
+
+    @committed_version.setter
+    def committed_version(self, index: int) -> None:
+        self._committed_version = index
+        for fn in self.on_commit:
+            fn(self)
 
     def inprogress_index(self) -> int:
         """The version slot the next checkpoint writes into."""
@@ -484,7 +512,7 @@ class Chunk:
             )
         self.nvm_resident = True
         self.protected = True
-        self.dirty_local = False
+        self.set_dirty("local", False)
 
     def _migrate_to_dram(self) -> None:
         """Copy-on-write: move the committed payload back to DRAM."""
@@ -510,14 +538,56 @@ class Chunk:
     # Interval bookkeeping (driven by the checkpoint coordinator).
     # ------------------------------------------------------------------
 
+    @property
+    def dirty_local(self) -> bool:
+        return self._dirty_local
+
+    @property
+    def dirty_remote(self) -> bool:
+        return self._dirty_remote
+
+    @property
+    def state_local(self) -> ChunkState:
+        return self._state_local
+
+    @property
+    def state_remote(self) -> ChunkState:
+        return self._state_remote
+
+    def _state_changed(self) -> None:
+        for fn in self.on_state_change:
+            fn(self)
+
+    def set_dirty(self, stream: str, dirty: bool) -> None:
+        """Set *stream*'s dirty bit.  Every change outside a dirtying
+        write goes through here, so ``on_state_change`` observers see
+        each one."""
+        dirty = bool(dirty)
+        if stream == "local":
+            if self._dirty_local is dirty:
+                return
+            self._dirty_local = dirty
+        elif stream == "remote":
+            if self._dirty_remote is dirty:
+                return
+            self._dirty_remote = dirty
+        else:
+            raise ValueError(f"unknown stream {stream!r}")
+        self._state_changed()
+
     def get_state(self, stream: str) -> ChunkState:
-        return self.state_local if stream == "local" else self.state_remote
+        return self._state_local if stream == "local" else self._state_remote
 
     def set_state(self, stream: str, state: ChunkState) -> None:
         if stream == "local":
-            self.state_local = state
+            if self._state_local is state:
+                return
+            self._state_local = state
         else:
-            self.state_remote = state
+            if self._state_remote is state:
+                return
+            self._state_remote = state
+        self._state_changed()
 
     def begin_interval(self) -> None:
         """Reset per-interval counters at the start of a compute phase."""
@@ -526,12 +596,7 @@ class Chunk:
     def mark_precopied(self, stream: str = "local") -> None:
         """Record a completed pre-copy: the chunk is clean for *stream*
         and write-protected so the next write faults."""
-        if stream == "local":
-            self.dirty_local = False
-        elif stream == "remote":
-            self.dirty_remote = False
-        else:
-            raise ValueError(f"unknown stream {stream!r}")
+        self.set_dirty(stream, False)
         self.protected = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -395,7 +395,7 @@ class CheckpointEngine:
                         f"chunk {chunk.name!r} busy ({chunk.state_local}) during coordinated step"
                     )
                 fire("local.copy.before", chunk=chunk, rank=self.rank)
-                chunk.state_local = ChunkState.CHECKPOINTING
+                chunk.set_state("local", ChunkState.CHECKPOINTING)
                 copy_start = engine.now
                 # page-granular mode: ask the destination which stale
                 # extents its next version slot needs, move only those
@@ -415,7 +415,7 @@ class CheckpointEngine:
                     else:
                         yield dest.write_at(chunk, extents, tag=f"{self.tag}:lckpt")
                 finally:
-                    chunk.state_local = ChunkState.IDLE
+                    chunk.set_state("local", ChunkState.IDLE)
                 fire("local.copy.after", chunk=chunk, rank=self.rank)
                 if dest.two_version:
                     dest.stage(chunk, extents)
@@ -453,7 +453,7 @@ class CheckpointEngine:
                 if self.tracks_dirty:
                     chunk.mark_precopied("local")
                 else:
-                    chunk.dirty_local = False
+                    chunk.set_dirty("local", False)
             # -- commit: flush data, flip versions, persist metadata,
             # flush.  The commit covers every chunk with staged data —
             # the ones this step copied AND the ones the pre-copy

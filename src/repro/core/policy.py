@@ -3,7 +3,14 @@
 The paper's four modes are one copy mechanism under four *scheduling
 policies*.  Each policy answers one question — given a dirty chunk and
 the interval clock, should it be pre-copied now, left for the
-coordinated step, or skipped — via :meth:`CheckpointPolicy.decide`:
+coordinated step, or skipped — via :meth:`CheckpointPolicy.decide`.
+The answer has two parts, and policies define the parts, not
+``decide``: a *time gate* shared by every chunk of the interval
+(:meth:`~CheckpointPolicy.ready_time`) and a per-chunk predicate
+(:meth:`~CheckpointPolicy.admits`) whose value changes only on a write
+to that chunk or when :meth:`~CheckpointPolicy.admits_epoch` moves.
+The pre-copy engine keeps its eligible set current from those changes
+instead of asking every dirty chunk on every step.
 
 * :class:`NonePolicy`   — never pre-copy (the blocking baseline);
 * :class:`PrecopyPolicy` — pre-copy any dirty chunk immediately (CPC);
@@ -80,10 +87,11 @@ class IntervalClock:
 class CheckpointPolicy:
     """Strategy protocol: when does a dirty chunk move?
 
-    Subclasses override :meth:`decide` (and :meth:`ready_time` for
-    delayed variants).  ``threshold``/``prediction`` are the shared
-    estimators owned by the checkpointer; policies that do not use them
-    leave them ``None``.
+    Subclasses override :meth:`ready_time` (delayed variants) and
+    :meth:`admits` / :meth:`admits_epoch` (per-chunk variants);
+    :meth:`decide` combines them.  ``threshold``/``prediction`` are the
+    shared estimators owned by the checkpointer; policies that do not
+    use them leave them ``None``.
     """
 
     #: registry name (also the ``PrecopyConfig.mode`` string)
@@ -104,7 +112,11 @@ class CheckpointPolicy:
         self.prediction = prediction
 
     def decide(self, chunk: Chunk, clock: IntervalClock) -> Decision:
-        raise NotImplementedError
+        if not self.is_open(clock):
+            return Decision.COPY_AT_CHECKPOINT
+        if not self.admits(chunk):
+            return Decision.SKIP
+        return Decision.PRECOPY
 
     def ready_time(self, interval_start: float) -> float:
         """Absolute time from which this policy may return
@@ -112,6 +124,19 @@ class CheckpointPolicy:
         *interval_start* (used by the pre-copy engine to sleep until
         the boundary instead of polling)."""
         return interval_start
+
+    def is_open(self, clock: IntervalClock) -> bool:
+        """Has the interval's time gate opened at ``clock.now``?"""
+        return clock.now + _EPS >= self.ready_time(clock.interval_start)
+
+    def admits(self, chunk: Chunk) -> bool:
+        """Per-chunk half of the decision, once the gate is open."""
+        return True
+
+    def admits_epoch(self) -> int:
+        """Changes whenever :meth:`admits` may have changed for chunks
+        that were not written since it was last asked."""
+        return 0
 
     @property
     def precopies(self) -> bool:
@@ -128,8 +153,8 @@ class NonePolicy(CheckpointPolicy):
 
     name = PrecopyConfig.NONE
 
-    def decide(self, chunk: Chunk, clock: IntervalClock) -> Decision:
-        return Decision.COPY_AT_CHECKPOINT
+    def ready_time(self, interval_start: float) -> float:
+        return float("inf")
 
     @property
     def precopies(self) -> bool:
@@ -144,9 +169,6 @@ class PrecopyPolicy(CheckpointPolicy):
     """
 
     name = PrecopyConfig.CPC
-
-    def decide(self, chunk: Chunk, clock: IntervalClock) -> Decision:
-        return Decision.PRECOPY
 
 
 class DelayedPrecopyPolicy(CheckpointPolicy):
@@ -168,11 +190,6 @@ class DelayedPrecopyPolicy(CheckpointPolicy):
             return float("inf")
         return interval_start + self.threshold.threshold()
 
-    def decide(self, chunk: Chunk, clock: IntervalClock) -> Decision:
-        if clock.now + _EPS < self.ready_time(clock.interval_start):
-            return Decision.COPY_AT_CHECKPOINT
-        return Decision.PRECOPY
-
 
 class PredictivePolicy(DelayedPrecopyPolicy):
     """DCPCP: delayed pre-copy, plus the per-chunk prediction table —
@@ -182,12 +199,13 @@ class PredictivePolicy(DelayedPrecopyPolicy):
     name = PrecopyConfig.DCPCP
     needs_prediction = True
 
-    def decide(self, chunk: Chunk, clock: IntervalClock) -> Decision:
-        if clock.now + _EPS < self.ready_time(clock.interval_start):
-            return Decision.COPY_AT_CHECKPOINT
-        if self.prediction is not None and not self.prediction.eligible(chunk):
-            return Decision.SKIP
-        return Decision.PRECOPY
+    def admits(self, chunk: Chunk) -> bool:
+        return self.prediction is None or self.prediction.eligible(chunk)
+
+    def admits_epoch(self) -> int:
+        # a chunk's prediction moves on its own writes (observe) and,
+        # for every chunk at once, at the interval boundaries
+        return 0 if self.prediction is None else self.prediction.epoch
 
 
 #: mode name -> policy class; the single source of mode dispatch

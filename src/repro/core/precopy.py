@@ -7,7 +7,9 @@ by the remote helper).  It runs as a DES process that continuously:
 1. finds a dirty, *eligible* chunk — eligibility depends on the policy
    (CPC: any dirty chunk; DCPC: only after the learned threshold
    ``T_p`` within the interval; DCPCP: additionally only once the
-   prediction table expects no further modifications);
+   prediction table expects no further modifications).  The largest
+   eligible chunk goes first, ties to the one that entered the dirty
+   index earliest;
 2. moves it through the injected transfer function (bus/fabric
    contention is charged there);
 3. marks the chunk pre-copied: clean for this stream + write-protected,
@@ -16,12 +18,23 @@ by the remote helper).  It runs as a DES process that continuously:
 A copy that races with an application write is *stale*: the chunk
 stays dirty and the moved bytes count as redundant work (the extra
 data volume visible in Fig. 7's right axis).
+
+Finding the chunk costs O(chunks whose state changed), not O(dirty
+chunks): the engine watches each chunk's dirty bits and copy state
+(``Chunk.on_state_change``) and its writes (``Chunk.on_dirty``), and
+keeps the eligible ones in a heap ordered by (size, dirty-index
+position).  The policy's time gate is one comparison per step; its
+per-chunk predicate is re-asked only for chunks that changed, or for
+every indexed chunk when the policy's ``admits_epoch`` moves (DCPCP's
+interval boundaries).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+import heapq
+import itertools
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..alloc.chunk import Chunk, ChunkState
 from ..config import PrecopyPolicy
@@ -129,10 +142,23 @@ class PrecopyEngine:
         #: chunks pre-copied this interval and not re-dirtied yet
         self._pending_clean: Dict[int, Chunk] = {}
         self._wired: set[int] = set()
-        #: dirty-candidate index so eligibility scans touch only dirty
-        #: chunks, not the whole chunk table (stale entries are dropped
-        #: lazily — e.g. chunks cleaned by the coordinated step)
+        #: dirty index: every persistent chunk seen dirty on this
+        #: stream, in insertion order (``_position``).  A chunk that
+        #: went clean leaves at the next selection, so a chunk
+        #: re-dirtied before that keeps its place in the tie-break
         self._dirty: Dict[int, Chunk] = {}
+        self._position: Dict[int, int] = {}
+        self._positions = itertools.count()
+        #: chunks whose dirty bit, copy state or writes changed since
+        #: the last selection (re-examined there, and only they)
+        self._touched: Dict[int, Chunk] = {}
+        #: eligible chunks: id -> their live heap entry
+        #: ``(-nbytes, position, id)``; heap entries no longer live are
+        #: dropped when they reach the top
+        self._ready: Dict[int, Tuple[int, int, int]] = {}
+        self._heap: List[Tuple[int, int, int]] = []
+        #: (policy, admits_epoch) the index was last evaluated under
+        self._indexed_under: Optional[tuple] = None
         self._inflight_chunk: Optional[Chunk] = None
         self._inflight_done: Optional[Event] = None
 
@@ -147,13 +173,24 @@ class PrecopyEngine:
             if chunk.chunk_id in self._wired:
                 continue
             chunk.on_dirty.append(self._on_dirty)
+            chunk.on_state_change.append(self._touch)
             self._wired.add(chunk.chunk_id)
             if chunk.persistent and self._is_dirty(chunk):
-                self._dirty[chunk.chunk_id] = chunk
+                self._index(chunk)
+
+    def _index(self, chunk: Chunk) -> None:
+        cid = chunk.chunk_id
+        if cid not in self._dirty:
+            self._dirty[cid] = chunk
+            self._position[cid] = next(self._positions)
+        self._touched[cid] = chunk
+
+    def _touch(self, chunk: Chunk) -> None:
+        self._touched[chunk.chunk_id] = chunk
 
     def _on_dirty(self, chunk: Chunk, now: float) -> None:
         if chunk.persistent:
-            self._dirty[chunk.chunk_id] = chunk
+            self._index(chunk)
         if self.prediction is not None:
             self.prediction.observe(chunk)
         pending = self._pending_clean.pop(chunk.chunk_id, None)
@@ -189,6 +226,7 @@ class PrecopyEngine:
         self.decision_policy = decision_policy
         self.threshold = threshold
         self.prediction = prediction
+        self._indexed_under = None
         self._kick()
 
     # ------------------------------------------------------------------
@@ -251,30 +289,56 @@ class PrecopyEngine:
         threshold estimator is prediction-gated only."""
         return self.decision_policy.ready_time(self.interval_start)
 
-    def _eligible(self, chunk: Chunk, now: float) -> bool:
-        # mechanism checks stay here; the scheduling question is the
-        # policy strategy's
-        if not chunk.persistent or not self._is_dirty(chunk):
-            return False
-        if chunk.get_state(self.stream) is not ChunkState.IDLE:
-            return False
-        clock = IntervalClock(now=now, interval_start=self.interval_start)
-        return self.decision_policy.decide(chunk, clock) is Decision.PRECOPY
+    def _refresh(self) -> None:
+        """Bring the eligible heap up to date with every change since
+        the last selection: drop chunks that went clean from the dirty
+        index, and re-ask the mechanism checks (idle on this stream)
+        and the policy's per-chunk predicate for the changed ones."""
+        policy = self.decision_policy
+        under = (policy, policy.admits_epoch())
+        if under != self._indexed_under:
+            self._indexed_under = under
+            self._touched.update(self._dirty)
+        dirty, ready = self._dirty, self._ready
+        for cid, chunk in self._touched.items():
+            if cid not in dirty:
+                continue
+            if not self._is_dirty(chunk):
+                del dirty[cid]
+                del self._position[cid]
+                ready.pop(cid, None)
+            elif chunk.get_state(self.stream) is ChunkState.IDLE and policy.admits(chunk):
+                entry = ready.get(cid)
+                if entry is None or entry[0] != -chunk.nbytes:
+                    entry = (-chunk.nbytes, self._position[cid], cid)
+                    ready[cid] = entry
+                    heapq.heappush(self._heap, entry)
+            else:
+                ready.pop(cid, None)
+        self._touched.clear()
+        if not ready:
+            self._heap.clear()
 
     def _next_eligible(self, now: float) -> Optional[Chunk]:
         # largest dirty chunk first: big chunks benefit most from being
         # out of the coordinated step (Table IV analysis)
-        best: Optional[Chunk] = None
-        stale = []
-        for cid, chunk in self._dirty.items():
-            if not self._is_dirty(chunk):
-                stale.append(cid)
-                continue
-            if self._eligible(chunk, now) and (best is None or chunk.nbytes > best.nbytes):
-                best = chunk
-        for cid in stale:
-            del self._dirty[cid]
-        return best
+        self._refresh()
+        clock = IntervalClock(now=now, interval_start=self.interval_start)
+        if not self.decision_policy.is_open(clock):
+            return None
+        heap, ready = self._heap, self._ready
+        while heap:
+            entry = heap[0]
+            if ready.get(entry[2]) is entry:
+                chunk = self._dirty[entry[2]]
+                if self.decision_policy.decide(chunk, clock) is not Decision.PRECOPY:
+                    raise SimulationError(
+                        f"pre-copy index out of step with policy "
+                        f"{self.decision_policy.name!r} for chunk {chunk.name!r}"
+                    )
+                return chunk
+            heapq.heappop(heap)
+        return None
 
     # ------------------------------------------------------------------
     # Default local-stream transfer.
@@ -311,10 +375,9 @@ class PrecopyEngine:
                     self._wake = engine.event("precopy.wake")
                     t_thresh = self.threshold_time()
                     waits: List[Event] = [self._wake]
-                    if (
-                        now < t_thresh < float("inf")
-                        and any(self._is_dirty(c) for c in self._dirty.values())
-                    ):
+                    # (the selection just dropped every clean chunk from
+                    # the dirty index)
+                    if now < t_thresh < float("inf") and self._dirty:
                         waits.append(engine.timeout(t_thresh - now))
                     yield engine.any_of(waits)
                     self._wake = None

@@ -101,12 +101,17 @@ class PredictionTable:
         self.machine = ModificationStateMachine()
         self._interval_mods: Dict[int, int] = {}
         self.intervals_completed = 0
+        #: bumped at both interval boundaries, where :meth:`eligible`
+        #: can change for every chunk at once (between them it changes
+        #: only for the chunk passed to :meth:`observe`)
+        self.epoch = 0
 
     # -- interval lifecycle -------------------------------------------------
 
     def begin_interval(self) -> None:
         self._interval_mods.clear()
         self.machine.reset_position()
+        self.epoch += 1
 
     def observe(self, chunk: Chunk) -> None:
         cid = chunk.chunk_id
@@ -126,6 +131,7 @@ class PredictionTable:
         self.intervals_completed += 1
         self._interval_mods.clear()
         self.machine.reset_position()
+        self.epoch += 1
 
     # -- queries ---------------------------------------------------------------
 

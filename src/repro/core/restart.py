@@ -255,7 +255,7 @@ class RestartManager:
                         # for the local stream, protected so the next
                         # write faults; the remote copy may be stale,
                         # so leave the remote bit dirty
-                        chunk.dirty_local = False
+                        chunk.set_dirty("local", False)
                         chunk.protected = True
                         report.bytes_local += chunk.nbytes
                     report.chunks_local += 1
@@ -325,8 +325,8 @@ class RestartManager:
                 chunk.dram[off : off + n] = payload
         # the recovered data is not yet persisted locally: dirty it so
         # the next local checkpoint re-establishes the local copy
-        chunk.dirty_local = True
-        chunk.dirty_remote = False
+        chunk.set_dirty("local", True)
+        chunk.set_dirty("remote", False)
         report.chunks_remote += 1
         report.bytes_remote += chunk.nbytes
 

@@ -116,7 +116,7 @@ class ResyncTask:
                     break
                 helper.targets[pid].stage(chunk)
                 helper._record_replicated(pid, chunk)
-                chunk.dirty_remote = False
+                chunk.set_dirty("remote", False)
                 self.bytes_sent += chunk.nbytes
                 self.chunks_sent += 1
                 # pace like the stream: never faster than pace_rate

@@ -34,7 +34,8 @@ class TestWriteBarrier:
 
     def test_write_marks_both_dirty_bits(self):
         chunk, _ = make_chunk()
-        chunk.dirty_local = chunk.dirty_remote = False
+        chunk.set_dirty("local", False)
+        chunk.set_dirty("remote", False)
         chunk.write(0, b"\x01")
         assert chunk.dirty_local and chunk.dirty_remote
 
@@ -84,7 +85,7 @@ class TestWriteBarrier:
         chunk, _ = make_chunk(phantom=True)
         with pytest.raises(CheckpointError):
             chunk.write(0, b"\x01")
-        chunk.dirty_local = False
+        chunk.set_dirty("local", False)
         chunk.touch()
         assert chunk.dirty_local
 

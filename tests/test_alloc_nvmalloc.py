@@ -108,7 +108,7 @@ class TestNvRealloc:
 
     def test_realloc_marks_dirty(self, allocator):
         c = allocator.nvalloc("x", 1024)
-        c.dirty_local = False
+        c.set_dirty("local", False)
         allocator.nvrealloc("x", 2048)
         assert c.dirty_local
 

@@ -122,7 +122,7 @@ class TestIterationExecution:
         m = SyntheticModel(checkpoint_mb_per_rank=20, chunk_mb=10, iteration_compute_time=5.0)
         binding = self._binding(m, ctx)
         for c in binding.allocator.chunks():
-            c.dirty_local = False
+            c.set_dirty("local", False)
         ctx.engine.process(m.compute_iteration(binding, 0))
         ctx.engine.run()
         assert all(c.dirty_local for c in binding.allocator.chunks())
@@ -137,7 +137,7 @@ class TestIterationExecution:
         ctx.engine.process(m.compute_iteration(binding, 0))
         ctx.engine.run()
         once_chunk = binding.allocator.chunk("chunk_0")
-        once_chunk.dirty_local = False
+        once_chunk.set_dirty("local", False)
         proc = ctx.engine.process(m.compute_iteration(binding, 1))
         ctx.engine.run()
         assert proc.ok
