@@ -51,6 +51,11 @@ class Cluster:
         self.app: Optional[ApplicationModel] = None
         self.ckpt_config: Optional[CheckpointConfig] = None
         self._built = False
+        #: rank states and remote helpers a hard failure replaced: no
+        #: longer part of the cluster, but the work they did before the
+        #: failure stays in the run's totals
+        self.retired_ranks: List[RankState] = []
+        self.retired_helpers: List[RemoteHelper] = []
 
     # ------------------------------------------------------------------
     # Population.
@@ -184,15 +189,24 @@ class Cluster:
     def helpers(self) -> List[RemoteHelper]:
         return [n.helper for n in self.nodes if n.helper is not None]
 
+    def ranks_ever(self) -> List[RankState]:
+        """Every rank state that ran: the current ones, then the ones
+        retired by hard failures."""
+        return self.all_ranks() + self.retired_ranks
+
+    def helpers_ever(self) -> List[RemoteHelper]:
+        """Every remote helper that ran, current ones first."""
+        return self.helpers() + self.retired_helpers
+
     # ------------------------------------------------------------------
     # Aggregate accounting.
     # ------------------------------------------------------------------
 
     def total_bytes_to_nvm(self) -> int:
-        return sum(n.total_bytes_to_nvm() for n in self.nodes)
+        return sum(s.checkpointer.total_bytes_to_nvm for s in self.ranks_ever())
 
     def total_remote_bytes(self) -> int:
-        return sum(h.total_remote_bytes for h in self.helpers())
+        return sum(h.total_remote_bytes for h in self.helpers_ever())
 
     def checkpoint_bytes(self) -> int:
         return sum(n.checkpoint_bytes for n in self.nodes)

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..alloc.chunk import Chunk
 from ..alloc.nvmalloc import NVAllocator
-from ..errors import CheckpointError
+from ..errors import AllocationError, CheckpointError
 from .context import NodeContext
 
 __all__ = ["XorParityGroup"]
@@ -122,10 +122,11 @@ class XorParityGroup:
             phantom = any(self._member_chunk(m, name).phantom for m in self.members)
             try:
                 region = nvmm.region(self.pid, rname)
+            except AllocationError:  # not mapped yet
+                region = nvmm.nvmmap(self.pid, rname, size, phantom=phantom)
+            else:
                 if region.nbytes != size:
                     nvmm.nvmrealloc(self.pid, rname, size)
-            except Exception:
-                region = nvmm.nvmmap(self.pid, rname, size, phantom=phantom)
             if phantom:
                 written += region.write_phantom(0, size)
             else:

@@ -179,7 +179,7 @@ def live_commit_ordering(cluster) -> List[Tuple[float, str, int, int]]:
     :class:`~repro.core.engine.CheckpointStats` history (the same
     values the engine put into its ``commit`` events)."""
     recs = []
-    for state in cluster.all_ranks():
+    for state in cluster.ranks_ever():
         ck = state.checkpointer
         two_version = bool(getattr(ck.destination, "two_version", False))
         for s in ck.history:
@@ -243,12 +243,12 @@ def compare_to_run(
         cluster = getattr(result, "cluster", None)
     if cluster is not None:
         live_saved = sum(
-            state.checkpointer.total_bytes_saved for state in cluster.all_ranks()
+            state.checkpointer.total_bytes_saved for state in cluster.ranks_ever()
         )
         check("bytes_saved", live_saved, acc.bytes_saved)
         live_chunks = sum(
             s.chunks_copied
-            for state in cluster.all_ranks()
+            for state in cluster.ranks_ever()
             for s in state.checkpointer.history
         )
         check("chunks_copied", live_chunks, acc.chunks_copied)

@@ -7,7 +7,7 @@ import pytest
 from repro.alloc import NVAllocator
 from repro.config import PrecopyPolicy
 from repro.core import LocalCheckpointer, XorParityGroup, make_standalone_context
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, PersistenceError
 from repro.sim import Engine
 
 
@@ -139,3 +139,21 @@ class TestAccounting:
         group.update_parity()
         group.update_parity()
         assert group.parity_bytes_written == 2 * 2048
+
+
+class TestParityRegionErrors:
+    def test_unrelated_realloc_error_propagates(self, monkeypatch):
+        """A resize failure of an existing parity region surfaces as
+        itself instead of being swallowed into a second nvmmap of the
+        same region."""
+        engine, allocs, datas, cks, group = make_group(k=2)
+        group.update_parity()
+        for a in allocs:
+            a.nvrealloc("grid", 8192)
+
+        def broken(pid, name, nbytes):
+            raise PersistenceError("store resize failed")
+
+        monkeypatch.setattr(group.parity_ctx.nvmm, "nvmrealloc", broken)
+        with pytest.raises(PersistenceError, match="store resize failed"):
+            group.update_parity()
