@@ -130,3 +130,21 @@ def test_replay_record_marks_faithful_vs_model():
     assert same["replay.faithful"] is True
     assert other["replay.faithful"] is False
     assert other["replay.coordinated_gb"] >= same["replay.coordinated_gb"]
+
+
+def test_hard_failure_keeps_replaced_ranks_work(assert_replay_matches):
+    """A hard failure rebuilds the node's ranks and helper; the work the
+    old ones did before the failure must stay in the run's totals, so
+    the live counters still equal the trace's commits and bytes."""
+    cap = assert_replay_matches(
+        dict(
+            BASE,
+            mode="dcpcp",
+            iterations=12,
+            mtbf_local=120,
+            mtbf_remote=480,
+            seed=53603676530129,
+        )
+    )
+    assert cap.result.hard_failures >= 1
+    assert cap.result.local_checkpoints == len(cap.engine().faithful().commits)
