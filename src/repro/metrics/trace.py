@@ -13,9 +13,12 @@ and failovers — emits a typed event to a process-global
 
 Emission with zero sinks attached is a single truthiness check, so the
 simulation hot path pays nothing when tracing is off.  The bus is
-per-process: fork-pool executor workers inherit a *snapshot* of the
-parent's sinks at fork time but their writes never reach the parent,
-so attach sinks only around in-process (serial) runs.
+per-process.  Pool workers (:mod:`repro.exec.pool`) start with no sinks
+attached: a grid run with ``run_grid(trace=...)`` has each worker
+capture its cells' events on its own bus and ship them back with the
+results, and the parent writes them in submission order.  Sinks the
+parent attaches directly see only events emitted in the parent
+process.
 """
 
 from __future__ import annotations
