@@ -45,8 +45,8 @@ replay-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.bench --replay-smoke
 
 # smallest end-to-end proof of the scale work: DES throughput is sane,
-# serial / persistent-pool / legacy-forkpool records are identical,
-# and the persistent pool out-dispatches forking a Pool per round
+# serial / persistent-pool records are identical, and a persistent-pool
+# dispatch round costs less than starting one fresh worker process
 scale-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.bench --scale-smoke
 

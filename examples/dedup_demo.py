@@ -82,8 +82,8 @@ def codec_checkpoints():
     engine.process(ck.checkpoint(blocking=False))
     engine.run()
     print(
-        f"  ckpt 1: {to_MB(ck.codec_logical_bytes):.2f} MB dirty -> "
-        f"{to_MB(ck.codec_wire_bytes):.2f} MB wire "
+        f"  ckpt 1: {to_MB(ck.codec.logical_bytes):.2f} MB dirty -> "
+        f"{to_MB(ck.codec.wire_bytes):.2f} MB wire "
         f"(store holds {ck.destination.block_store.unique_blocks} unique blocks)"
     )
 
@@ -93,9 +93,9 @@ def codec_checkpoints():
     engine.process(ck.checkpoint(blocking=False))
     engine.run()
     print(
-        f"  ckpt 2: {to_MB(ck.codec_logical_bytes):.2f} MB dirty -> "
-        f"{to_MB(ck.codec_wire_bytes):.2f} MB wire cumulative "
-        f"({to_MB(ck.codec_saved_bytes):.2f} MB kept off the wire)"
+        f"  ckpt 2: {to_MB(ck.codec.logical_bytes):.2f} MB dirty -> "
+        f"{to_MB(ck.codec.wire_bytes):.2f} MB wire cumulative "
+        f"({to_MB(ck.codec.saved_bytes):.2f} MB kept off the wire)"
     )
     for ev in decisions:
         print(

@@ -16,7 +16,7 @@ from ..alloc.nvmalloc import NVAllocator
 from ..apps.base import ApplicationModel, RankBinding
 from ..config import CheckpointConfig, NodeConfig
 from ..core.context import NodeContext, make_standalone_context
-from ..core.local import LocalCheckpointer
+from ..core.engine import LocalCheckpointer
 from ..core.remote import RemoteHelper
 from ..memory.persistence import InMemoryStore
 from ..metrics.timeline import Timeline
@@ -80,15 +80,12 @@ class ClusterNode:
         timeline: Optional[Timeline] = None,
         phantom: bool = True,
         destination_factory=None,
-        transfer_fn=None,
-        stage_to_nvm: bool = True,
         tenant: str = "",
     ) -> RankState:
         """*destination_factory* is ``(ctx, rank, allocator) -> Destination``
         selecting the checkpoint backend (default: the node's NVM shadow
-        arena).  ``transfer_fn``/``stage_to_nvm`` are the legacy data-path
-        overrides, kept for compatibility.  *tenant* attributes the
-        rank's checkpoint traffic in multi-tenant runs."""
+        arena).  *tenant* attributes the rank's checkpoint traffic in
+        multi-tenant runs."""
         rank = f"r{rank_index}"
         allocator = NVAllocator(
             rank,
@@ -120,8 +117,6 @@ class ClusterNode:
             timeline=timeline,
             with_checksums=ckpt_config.checksums,
             tenant=tenant,
-            transfer_fn=transfer_fn(rank) if transfer_fn is not None else None,
-            stage_to_nvm=stage_to_nvm,
         )
         state = RankState(
             rank=rank,

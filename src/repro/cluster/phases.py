@@ -506,6 +506,7 @@ def recover_hard(runner, node: ClusterNode):
         for n in runner.cluster.active_nodes:
             h = n.helper
             if h is not None and h.buddy_id == node.node_id and n is not node:
+                from ..core.destination import RemoteBuddyDestination
                 from ..core.remote import RemoteTarget
 
                 h.buddy_ctx = node.ctx
@@ -520,7 +521,7 @@ def recover_hard(runner, node: ClusterNode):
                     if dest is not None:
                         dest.retarget(target)
                     else:
-                        h.destinations[pid] = h._make_destination(pid, target)
+                        h.destinations[pid] = RemoteBuddyDestination(target, h)
                 if BUS.active:
                     BUS.emit(
                         FailoverEvent(

@@ -813,18 +813,18 @@ class ClusterRunner:
             ) / len(helpers)
         # payload codec (local engines + remote helpers share counters)
         codec_on = [
-            s
+            s.codec
             for s in [state.checkpointer for state in worked] + worked_helpers
             if getattr(s, "codec", None) is not None
         ]
         if codec_on:
             res.codec = True
-            res.codec_name = codec_on[0].codec.name
-            res.codec_logical_bytes = sum(s.codec_logical_bytes for s in codec_on)
-            res.codec_wire_bytes = sum(s.codec_wire_bytes for s in codec_on)
-            res.codec_delta_bytes = sum(s.codec_delta_bytes for s in codec_on)
-            res.codec_blocks_new = sum(s.codec_blocks_new for s in codec_on)
-            res.codec_blocks_ref = sum(s.codec_blocks_ref for s in codec_on)
+            res.codec_name = codec_on[0].name
+            res.codec_logical_bytes = sum(c.logical_bytes for c in codec_on)
+            res.codec_wire_bytes = sum(c.wire_bytes for c in codec_on)
+            res.codec_delta_bytes = sum(c.delta_bytes for c in codec_on)
+            res.codec_blocks_new = sum(c.blocks_new for c in codec_on)
+            res.codec_blocks_ref = sum(c.blocks_ref for c in codec_on)
         # fabric
         CKPT_KINDS = ["rckpt", "rprecopy", "rfetch", "resync", "migrate"]
         res.fabric_peak_window_bytes = cluster.fabric.peak_window_usage(1.0, t_end)

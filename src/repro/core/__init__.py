@@ -6,8 +6,10 @@
   modification state machine (Fig. 6);
 * :mod:`~repro.core.threshold` — DCPC pre-copy threshold estimation;
 * :mod:`~repro.core.precopy` — the background chunk pre-copy engine;
-* :mod:`~repro.core.local` — coordinated local checkpoints (shadow
-  buffering + two-version commit);
+* :mod:`~repro.core.copystep` — the one chunk-copy step every copy
+  path drives, and the payload codec it plans with;
+* :mod:`~repro.core.engine` — coordinated local checkpoints (shadow
+  buffering + two-version commit; ``LocalCheckpointer``);
 * :mod:`~repro.core.remote` — the per-node asynchronous helper doing
   remote (buddy-node) pre-copy checkpoints over RDMA;
 * :mod:`~repro.core.restart` — restart/recovery with checksum checks
@@ -37,11 +39,9 @@ from .destination import (
     PfsDestination,
     RamdiskDestination,
     RemoteBuddyDestination,
-    TransferFnDestination,
 )
 from .precopy import PrecopyEngine
-from .engine import CheckpointEngine, CheckpointStats
-from .local import LocalCheckpointer
+from .engine import CheckpointEngine, CheckpointStats, LocalCheckpointer
 from .remote import RemoteCheckpointStats, RemoteHelper, RemoteTarget
 from .restart import RestartManager, RestartReport
 from .scrub import Scrubber, ScrubReport
@@ -73,7 +73,6 @@ __all__ = [
     "PfsDestination",
     "RamdiskDestination",
     "RemoteBuddyDestination",
-    "TransferFnDestination",
     "PrecopyEngine",
     "CheckpointEngine",
     "LocalCheckpointer",

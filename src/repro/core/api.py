@@ -41,8 +41,7 @@ from ..errors import UnknownChunkId
 from ..memory.persistence import PersistentStore
 from ..metrics.timeline import Timeline
 from .context import NodeContext, make_standalone_context
-from .engine import CheckpointStats
-from .local import LocalCheckpointer
+from .engine import CheckpointStats, LocalCheckpointer
 from .restart import RestartManager, RestartReport
 
 __all__ = ["NVMCheckpoint"]

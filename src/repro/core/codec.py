@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import CheckpointError, CodecError, ConfigError
+from ..errors import CheckpointError, CodecError, ConfigError, MemoryError_
 from ..faults.crashpoints import fire
 
 __all__ = [
@@ -732,8 +732,13 @@ class DeltaCodec(Codec):
             return int(round(float(changed_cov.sum()) * novelty))
         try:
             base = chunk.versions[base_slot].read(0, chunk.nbytes)
-        except Exception:
-            return int(changed_cov.sum())
+        except (MemoryError_, IndexError) as exc:
+            # a committed base that cannot be read is a corrupt shadow,
+            # not a reason to guess at the delta
+            raise CodecError(
+                f"delta base of chunk {chunk.name!r} (version slot {base_slot}) "
+                f"is unreadable: {exc}"
+            ) from exc
         total = 0
         for i, covb in zip(changed_idx, changed_cov):
             lo = int(i) * block

@@ -2,7 +2,8 @@
 
 A :class:`Destination` answers the mechanism half of the pipeline the
 policies (:mod:`repro.core.policy`) schedule: how a chunk's payload
-moves (``write``), how staged data becomes the recoverable version
+moves (one ``write`` of the wire bytes the copy step computed — see
+:mod:`repro.core.copystep`), how staged data becomes the recoverable version
 (``stage`` / ``commit``), what ordering barriers cost (``flush``), how
 committed payloads come back at restart (``read``), and how much room
 is left (``capacity``).  One :class:`~repro.core.engine.CheckpointEngine`
@@ -15,8 +16,9 @@ drives any destination through the same walk/flush/commit sequence:
 * :class:`RamdiskDestination` — the tmpfs baseline of Table V (DRAM
   path cost model, no shadow versions);
 * :class:`RemoteBuddyDestination` — the buddy node's remote arena, as
-  used by the remote helper; local+remote multilevel checkpointing is
-  the *composition* of two destinations, not a special-cased helper.
+  used by the remote helper; its write is the helper's one fabric
+  delivery.  Local+remote multilevel checkpointing is the *composition*
+  of two destinations, not a special-cased helper.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from ..alloc.chunk import Chunk, batch_commit
 from ..alloc.nvmalloc import NVAllocator
 from ..errors import CheckpointError
-from .codec import DEFAULT_BLOCK, BlockStore, Payload
+from .codec import DEFAULT_BLOCK, BlockStore, Payload, blocks_of_extents
 from .context import NodeContext
 
 __all__ = [
@@ -37,7 +39,6 @@ __all__ = [
     "PfsDestination",
     "RamdiskDestination",
     "RemoteBuddyDestination",
-    "TransferFnDestination",
     "validate_extents",
 ]
 
@@ -64,10 +65,10 @@ def validate_extents(chunk: Chunk, extents: List[Tuple[int, int]]) -> None:
 class Destination:
     """Backend protocol for one checkpoint target.
 
-    ``write`` returns a DES completion event (the data plane);
-    ``stage``/``commit``/``persist_metadata`` are control-plane state
-    flips (instantaneous — their cost is the ``flush`` barriers the
-    engine charges around them).
+    ``write`` is the data plane: a generator the copy step drives
+    with ``yield from``; ``stage``/``commit``/``persist_metadata`` are
+    control-plane state flips (instantaneous — their cost is the
+    ``flush`` barriers the engine charges around them).
     """
 
     #: short backend name, used in trace events and stats
@@ -79,25 +80,14 @@ class Destination:
     #: configured (``None`` on the raw path — zero overhead)
     block_store: Optional[BlockStore] = None
 
-    def write(self, chunk: Chunk, *, tag: str = ""):
-        """Move the chunk's payload to this destination; returns the
-        completion event to ``yield`` on."""
+    def write(self, chunk: Chunk, nbytes: int, *, tag: str = ""):
+        """Generator: move *nbytes* of *chunk*'s payload over this
+        backend's transport — the whole chunk, its stale extents or an
+        encoded payload's wire size, as the copy step computed.  *tag*
+        labels the traffic.  The content itself lands in :meth:`stage`:
+        extents and codecs change the unit of transfer, not the
+        recoverable representation."""
         raise NotImplementedError
-
-    def write_at(
-        self, chunk: Chunk, extents: List[Tuple[int, int]], *, tag: str = ""
-    ):
-        """Range write: move only the ``(offset, nbytes)`` byte runs in
-        *extents* (the chunk's stale pages).  Backends without a range
-        path fall back to a full :meth:`write`."""
-        return self.write(chunk, tag=tag)
-
-    def write_payload(self, chunk: Chunk, payload: Payload, *, tag: str = ""):
-        """Move an encoded payload: charge its *wire* bytes on this
-        backend's transport (the content still stages in full through
-        :meth:`stage` — the codec changes the unit of transfer, not the
-        recoverable representation)."""
-        return self.write_at(chunk, [(0, min(payload.wire_bytes, chunk.nbytes))], tag=tag)
 
     def ensure_block_store(self, block: int = DEFAULT_BLOCK) -> BlockStore:
         """Attach (idempotently) the content-addressed block store a
@@ -120,8 +110,16 @@ class Destination:
 
     def stage(self, chunk: Chunk, extents: Optional[List[Tuple[int, int]]] = None) -> None:
         """Record the just-written payload as this chunk's in-progress
-        version (no-op for single-version backends).  With *extents*,
-        only those byte runs are staged (page-granular mode)."""
+        version.  With *extents*, only those byte runs are staged
+        (page-granular mode).  Single-version backends keep no shadow
+        version; they only clear the copied extents' stale bits."""
+        if extents is not None:
+            chunk.mark_extents_copied("local", extents)
+
+    def staged_blocks(self, chunk: Chunk, payload: Payload):
+        """Block indices whose digests describe what :meth:`stage` just
+        wrote for *payload*: the payload's own coverage."""
+        return payload.block_index
 
     def flush(self) -> float:
         """Issue a persistence barrier; returns its simulated cost."""
@@ -167,17 +165,8 @@ class NVMArenaDestination(Destination):
         self.ctx = ctx
         self.allocator = allocator
 
-    def write(self, chunk: Chunk, *, tag: str = ""):
-        return self.ctx.copy_to_nvm(chunk.nbytes, tag=tag)
-
-    def write_at(
-        self, chunk: Chunk, extents: List[Tuple[int, int]], *, tag: str = ""
-    ):
-        validate_extents(chunk, extents)
-        return self.ctx.copy_to_nvm(sum(n for _, n in extents), tag=tag)
-
-    def write_payload(self, chunk: Chunk, payload: Payload, *, tag: str = ""):
-        return self.ctx.copy_to_nvm(payload.wire_bytes, tag=tag)
+    def write(self, chunk: Chunk, nbytes: int, *, tag: str = ""):
+        yield self.ctx.copy_to_nvm(nbytes, tag=tag)
 
     def codec_slots(self, chunk: Chunk) -> Tuple[int, int]:
         return (chunk.inprogress_index(), chunk.committed_version)
@@ -225,21 +214,10 @@ class PfsDestination(Destination):
         self.ctx = ctx
         self.allocator = allocator
 
-    def write(self, chunk: Chunk, *, tag: str = ""):
+    def write(self, chunk: Chunk, nbytes: int, *, tag: str = ""):
         # the PFS resource's accounting keys off the rank tag, not the
         # engine's step tag
-        return self.pfs.write(chunk.nbytes, tag=f"{self.rank}:pfsckpt")
-
-    def write_at(
-        self, chunk: Chunk, extents: List[Tuple[int, int]], *, tag: str = ""
-    ):
-        validate_extents(chunk, extents)
-        return self.pfs.write(
-            sum(n for _, n in extents), tag=f"{self.rank}:pfsckpt"
-        )
-
-    def write_payload(self, chunk: Chunk, payload: Payload, *, tag: str = ""):
-        return self.pfs.write(payload.wire_bytes, tag=f"{self.rank}:pfsckpt")
+        yield self.pfs.write(nbytes, tag=f"{self.rank}:pfsckpt")
 
     def flush(self) -> float:
         return self.ctx.nvmm.cache_flush()
@@ -267,26 +245,11 @@ class RamdiskDestination(Destination):
         self.writers = writers
         self._written: dict = {}
 
-    def write(self, chunk: Chunk, *, tag: str = ""):
-        cost = self.model.checkpoint_time(chunk.nbytes, writers=self.writers)
-        self._written[chunk.name] = chunk.nbytes
-        return self.ctx.engine.timeout(cost)
-
-    def write_at(
-        self, chunk: Chunk, extents: List[Tuple[int, int]], *, tag: str = ""
-    ):
-        validate_extents(chunk, extents)
-        cost = self.model.checkpoint_time(
-            sum(n for _, n in extents), writers=self.writers
-        )
+    def write(self, chunk: Chunk, nbytes: int, *, tag: str = ""):
+        cost = self.model.checkpoint_time(nbytes, writers=self.writers)
         # the file keeps its full logical size; only the write shrinks
         self._written[chunk.name] = chunk.nbytes
-        return self.ctx.engine.timeout(cost)
-
-    def write_payload(self, chunk: Chunk, payload: Payload, *, tag: str = ""):
-        cost = self.model.checkpoint_time(payload.wire_bytes, writers=self.writers)
-        self._written[chunk.name] = chunk.nbytes
-        return self.ctx.engine.timeout(cost)
+        yield self.ctx.engine.timeout(cost)
 
     def read(self, chunk_name: str) -> np.ndarray:
         if chunk_name not in self._written:
@@ -299,19 +262,18 @@ class RamdiskDestination(Destination):
 
 class RemoteBuddyDestination(Destination):
     """The buddy node's remote arena, wrapping one
-    :class:`~repro.core.remote.RemoteTarget`.  ``write`` is the fabric
-    send (injected by the remote helper, which owns pacing/compression/
-    resilient retries); ``stage``/``commit``/``read`` are the target's
-    own two-version protocol on the buddy's NVM."""
+    :class:`~repro.core.remote.RemoteTarget`.  ``write`` is the owning
+    :class:`~repro.core.remote.RemoteHelper`'s one fabric delivery
+    (:meth:`~repro.core.remote.RemoteHelper.send`);
+    ``stage``/``commit``/``read`` are the target's own two-version
+    protocol on the buddy's NVM."""
 
     name = "buddy"
     two_version = True
 
-    def __init__(self, target, send_fn: Callable[..., object]) -> None:
-        #: ``send_fn(chunk, extents=None)`` — the fabric transfer; with
-        #: *extents* only those byte runs go over the wire.
+    def __init__(self, target, helper) -> None:
         self.target = target
-        self._send_fn = send_fn
+        self.helper = helper
 
     def retarget(self, target) -> None:
         """Point at a new buddy's :class:`RemoteTarget` after failover."""
@@ -330,17 +292,9 @@ class RemoteBuddyDestination(Destination):
         self.target.ensure_chunk(chunk)
         return self.target.codec_slots(chunk.name)
 
-    def write(self, chunk: Chunk, *, tag: str = ""):
-        return self._send_fn(chunk)
-
-    def write_at(
-        self, chunk: Chunk, extents: List[Tuple[int, int]], *, tag: str = ""
-    ):
-        validate_extents(chunk, extents)
-        return self._send_fn(chunk, extents)
-
-    def write_payload(self, chunk: Chunk, payload: Payload, *, tag: str = ""):
-        return self._send_fn(chunk, payload.extents, wire=payload.wire_bytes)
+    def write(self, chunk: Chunk, nbytes: int, *, tag: str = ""):
+        # *tag* names the traffic kind of the helper's send
+        return self.helper.send(self.target.src_pid, chunk, nbytes, kind=tag)
 
     def pending_extents(self, chunk: Chunk) -> List[Tuple[int, int]]:
         # ensure_chunk creates the buddy regions *and* the chunk's
@@ -352,6 +306,13 @@ class RemoteBuddyDestination(Destination):
 
     def stage(self, chunk: Chunk, extents: Optional[List[Tuple[int, int]]] = None) -> None:
         self.target.stage(chunk, extents)
+
+    def staged_blocks(self, chunk: Chunk, payload: Payload):
+        # staging re-reads the remote stale map, so the runs it actually
+        # wrote (not the pre-transfer plan) define the digest coverage
+        return blocks_of_extents(
+            self.target.last_staged_runs, self.block_store.block, chunk.nbytes
+        )
 
     def flush(self) -> float:
         return self.target.dst_ctx.nvmm.cache_flush()
@@ -376,62 +337,3 @@ class RemoteBuddyDestination(Destination):
 
     def capacity(self) -> float:
         return float(self.target.dst_ctx.nvm.free)
-
-
-class TransferFnDestination(Destination):
-    """Adapter for the legacy ``transfer_fn``/``stage_to_nvm``
-    checkpointer parameters: an arbitrary per-chunk transfer callable,
-    optionally composed with the local NVM arena's control plane."""
-
-    name = "custom"
-
-    def __init__(
-        self,
-        transfer_fn: Callable[[Chunk], object],
-        ctx: NodeContext,
-        allocator: NVAllocator,
-        *,
-        stage_to_nvm: bool = True,
-    ) -> None:
-        self.transfer_fn = transfer_fn
-        self.ctx = ctx
-        self.allocator = allocator
-        self.two_version = stage_to_nvm
-
-    def write(self, chunk: Chunk, *, tag: str = ""):
-        return self.transfer_fn(chunk)
-
-    def write_at(
-        self, chunk: Chunk, extents: List[Tuple[int, int]], *, tag: str = ""
-    ):
-        # legacy transfer callables take whole chunks; charge the full
-        # transfer rather than guess at their cost model
-        return self.transfer_fn(chunk)
-
-    def stage(self, chunk: Chunk, extents: Optional[List[Tuple[int, int]]] = None) -> None:
-        if self.two_version:
-            chunk.stage_to_nvm(extents)
-
-    def flush(self) -> float:
-        return self.ctx.nvmm.cache_flush()
-
-    def commit(
-        self,
-        chunks: Iterable[Chunk],
-        *,
-        with_checksum: bool = True,
-        on_commit: Optional[Callable[[Chunk], None]] = None,
-    ) -> float:
-        if self.two_version:
-            batch_commit(list(chunks), with_checksum=with_checksum, on_commit=on_commit)
-        return 0.0
-
-    def persist_metadata(self) -> None:
-        self.allocator._persist_metadata()
-
-    def read(self, chunk_name: str) -> np.ndarray:
-        chunk = self.allocator.chunk(chunk_name)
-        return chunk.committed_region().read(0, chunk.nbytes)
-
-    def capacity(self) -> float:
-        return float(self.ctx.nvm.free)

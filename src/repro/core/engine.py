@@ -14,7 +14,10 @@ pipeline:
 
 The coordinated step (``nvchkptall``) is the paper's sequence: pause
 pre-copy, copy every still-dirty chunk, flush, commit staged versions,
-persist metadata, flush again (commit point).  ``LocalCheckpointer``,
+persist metadata, flush again (commit point).  Each chunk moves with
+the one copy step (:func:`~repro.core.copystep.copy_chunk`) that the
+pre-copy engine and the remote helper drive too.
+``LocalCheckpointer`` is this class under its historical name;
 ``TransparentCheckpointer``, ``NVMCheckpoint`` and the baselines are
 thin facades over this one engine.
 """
@@ -32,23 +35,16 @@ from ..errors import CheckpointError
 from ..faults.crashpoints import fire
 from ..metrics import timeline as tl
 from ..metrics.timeline import Timeline
-from ..metrics.trace import (
-    BUS,
-    ChunkCopiedEvent,
-    CodecDecisionEvent,
-    CommitEvent,
-    PolicyDecisionEvent,
-)
-from ..units import pages_of
-from .codec import EntropyProbe, Payload, current_digests, resolve_codec
+from ..metrics.trace import BUS, CommitEvent, PolicyDecisionEvent
 from .context import NodeContext
+from .copystep import PayloadCodec, copy_chunk
 from .destination import Destination, NVMArenaDestination
 from .policy import CheckpointPolicy, policy_class, resolve_policy
 from .precopy import PrecopyEngine
 from .prediction import PredictionTable
 from .threshold import ThresholdEstimator
 
-__all__ = ["CheckpointEngine", "CheckpointStats"]
+__all__ = ["CheckpointEngine", "CheckpointStats", "LocalCheckpointer"]
 
 
 @dataclass
@@ -72,6 +68,23 @@ class CheckpointStats:
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+
+class _BaselineArena(NVMArenaDestination):
+    """Where a baseline backend's pre-copies land: the node's NVM arena
+    moves and stages the data, while the codec plans and publishes
+    against the backend's digest index, like its coordinated step."""
+
+    def __init__(self, ctx: NodeContext, allocator: NVAllocator, backend: Destination) -> None:
+        super().__init__(ctx, allocator)
+        self.backend = backend
+
+    @property
+    def block_store(self):  # type: ignore[override]
+        return self.backend.block_store
+
+    def codec_slots(self, chunk: Chunk):
+        return self.backend.codec_slots(chunk)
 
 
 class CheckpointEngine:
@@ -110,18 +123,15 @@ class CheckpointEngine:
         #: remote helper hooks its per-rank pre-copy rhythm here)
         self.on_complete: List = []
 
-        #: payload codec (None on the raw default path: no content
+        #: payload codec with its wire accounting, shared with the
+        #: pre-copy engine (None on the raw default path: no content
         #: models, no block store, no per-write overhead)
-        self.codec = resolve_codec(self.policy.codec) if self.policy.codec_enabled else None
-        self.entropy_probe = EntropyProbe() if self.codec is not None else None
-        if self.codec is not None:
+        self.codec: Optional[PayloadCodec] = None
+        if self.policy.codec_enabled:
+            self.codec = PayloadCodec(
+                self.policy.codec, actor=str(self.rank), engine=ctx.engine
+            )
             self.destination.ensure_block_store(self.policy.codec_block)
-        # codec wire accounting (aggregated into RunResult when on)
-        self.codec_logical_bytes = 0
-        self.codec_wire_bytes = 0
-        self.codec_delta_bytes = 0
-        self.codec_blocks_new = 0
-        self.codec_blocks_ref = 0
 
         self.threshold: Optional[ThresholdEstimator] = None
         self.prediction: Optional[PredictionTable] = None
@@ -143,20 +153,29 @@ class CheckpointEngine:
             self.policy.mode, threshold=self.threshold, prediction=self.prediction
         )
         if self.decision_policy.precopies:
-            self.precopy = PrecopyEngine(
-                ctx,
-                chunks=self.allocator.persistent_chunks,
-                policy=self.policy,
-                stream="local",
-                tag=f"{self.tag}:precopy",
-                threshold=self.threshold,
-                prediction=self.prediction,
-                decision_policy=self.decision_policy,
-                codec_hooks=self if self.codec is not None else None,
-                tenant=self.tenant,
-            )
+            self.precopy = self._make_precopy()
         self._precopy_proc = None
         self._background_started = False
+
+    def _make_precopy(self) -> PrecopyEngine:
+        precopy = PrecopyEngine(
+            self.ctx,
+            chunks=self.allocator.persistent_chunks,
+            policy=self.policy,
+            stream="local",
+            tag=f"{self.tag}:precopy",
+            threshold=self.threshold,
+            prediction=self.prediction,
+            decision_policy=self.decision_policy,
+            codec_hooks=self.codec,
+            tenant=self.tenant,
+        )
+        if isinstance(self.destination, NVMArenaDestination):
+            # one arena (and digest index) for both copy paths
+            precopy.destination = self.destination
+        else:
+            precopy.destination = _BaselineArena(self.ctx, self.allocator, self.destination)
+        return precopy
 
     # ------------------------------------------------------------------
     # Background engine lifecycle.
@@ -221,18 +240,7 @@ class CheckpointEngine:
             mode, threshold=self.threshold, prediction=self.prediction
         )
         if self.decision_policy.precopies and self.precopy is None:
-            self.precopy = PrecopyEngine(
-                self.ctx,
-                chunks=self.allocator.persistent_chunks,
-                policy=self.policy,
-                stream="local",
-                tag=f"{self.tag}:precopy",
-                threshold=self.threshold,
-                prediction=self.prediction,
-                decision_policy=self.decision_policy,
-                codec_hooks=self if self.codec is not None else None,
-                tenant=self.tenant,
-            )
+            self.precopy = self._make_precopy()
             if self._background_started:
                 self.precopy.wire_chunks()
                 self._precopy_proc = self.ctx.engine.process(
@@ -298,78 +306,18 @@ class CheckpointEngine:
                 )
             )
 
-    # ------------------------------------------------------------------
-    # Payload codec hooks (shared with the pre-copy engine).
-    # ------------------------------------------------------------------
-
-    def plan_payload(self, chunk: Chunk, extents) -> Optional[Payload]:
-        """Plan what actually crosses the wire for *chunk*'s dirty
-        extents; ``None`` on the raw path.  Emits the ``codec.decision``
-        trace event when the auto policy axis made a choice."""
-        if self.codec is None:
-            return None
-        slot, base_slot = self.destination.codec_slots(chunk)
-        payload = self.codec.plan(
-            chunk,
-            extents,
-            store=self.destination.block_store,
-            slot=slot,
-            base_slot=base_slot,
-            probe=self.entropy_probe,
-        )
-        payload.slot = slot
-        if payload.candidates is not None and BUS.active:
-            BUS.emit(
-                CodecDecisionEvent(
-                    t=self.ctx.engine.now,
-                    actor=str(self.rank),
-                    chunk=chunk.name,
-                    chosen=payload.codec,
-                    raw_bytes=payload.candidates.get("raw", 0),
-                    delta_bytes=payload.candidates.get("delta", 0),
-                    dedup_bytes=payload.candidates.get("dedup", 0),
-                    entropy=payload.entropy,
-                    density=payload.density,
-                )
-            )
-        return payload
-
-    def account_payload(self, payload: Payload) -> None:
-        """Wire accounting for a payload whose bytes moved (counted
-        even for torn pre-copies, exactly like raw byte accounting)."""
-        self.codec_logical_bytes += payload.logical_bytes
-        self.codec_wire_bytes += payload.wire_bytes
-        if payload.kind == "delta":
-            self.codec_delta_bytes += payload.changed_bytes
-        self.codec_blocks_new += payload.blocks_new
-        self.codec_blocks_ref += payload.blocks_ref
-
-    def publish_payload(self, chunk: Chunk, payload: Payload) -> None:
-        """Stage the payload's block digests into the destination's
-        store (refcounted at the coordinated commit).  Digests are
-        re-derived at stage time: writes that raced a pre-copy transfer
-        land in the staged version, and the index must describe what
-        actually landed."""
-        if payload.block_index is not None and len(payload.block_index):
-            store = self.destination.block_store
-            store.stage(
-                chunk.name,
-                payload.slot,
-                payload.block_index,
-                current_digests(chunk, payload.block_index, store.block),
-            )
-
-    @property
-    def codec_saved_bytes(self) -> int:
-        """Bytes the payload codec kept off the wire (on top of the
-        incremental-extent savings already counted in bytes_saved)."""
-        return max(0, self.codec_logical_bytes - self.codec_wire_bytes)
-
     def _checkpoint_proc(self, only: Optional[Iterable[Chunk]] = None):
         """The checkpoint generator body behind :meth:`checkpoint`."""
         engine = self.ctx.engine
         dest = self.destination
         stats = CheckpointStats(start=engine.now, policy=self.policy.mode)
+        labels = dict(
+            actor=str(self.rank),
+            stream="local",
+            phase="coordinated",
+            destination=dest.name,
+            tenant=self.tenant,
+        )
         if self.precopy is not None:
             self.precopy.pause()
             yield from self.precopy.drain()
@@ -396,60 +344,24 @@ class CheckpointEngine:
                     )
                 fire("local.copy.before", chunk=chunk, rank=self.rank)
                 chunk.set_state("local", ChunkState.CHECKPOINTING)
-                copy_start = engine.now
-                # page-granular mode: ask the destination which stale
-                # extents its next version slot needs, move only those
-                extents = dest.pending_extents(chunk) if self.policy.incremental else None
-                if extents is None:
-                    nbytes_moved = chunk.nbytes
-                    pages = pages_of(chunk.nbytes)
-                else:
-                    nbytes_moved = sum(n for _, n in extents)
-                    pages = sum(pages_of(n) for _, n in extents)
-                payload = self.plan_payload(chunk, extents)
                 try:
-                    if payload is not None:
-                        yield dest.write_payload(chunk, payload, tag=f"{self.tag}:lckpt")
-                    elif extents is None:
-                        yield dest.write(chunk, tag=f"{self.tag}:lckpt")
-                    else:
-                        yield dest.write_at(chunk, extents, tag=f"{self.tag}:lckpt")
+                    wire, logical = yield from copy_chunk(
+                        engine,
+                        chunk,
+                        dest,
+                        self.codec,
+                        incremental=self.policy.incremental,
+                        tag=f"{self.tag}:lckpt",
+                        labels=labels,
+                        after_write=self._copied,
+                    )
                 finally:
                     chunk.set_state("local", ChunkState.IDLE)
-                fire("local.copy.after", chunk=chunk, rank=self.rank)
                 if dest.two_version:
-                    dest.stage(chunk, extents)
                     fire("local.stage.after", chunk=chunk, rank=self.rank)
-                elif extents is not None:
-                    # flat backends have no stage step; record the copy
-                    # against the stale map here
-                    chunk.mark_extents_copied("local", extents)
-                wire_bytes = nbytes_moved
-                if payload is not None:
-                    wire_bytes = payload.wire_bytes
-                    self.account_payload(payload)
-                    self.publish_payload(chunk, payload)
-                stats.bytes_copied += wire_bytes
-                stats.bytes_saved += chunk.nbytes - nbytes_moved
+                stats.bytes_copied += wire
+                stats.bytes_saved += chunk.nbytes - logical
                 stats.chunks_copied += 1
-                if BUS.active:
-                    BUS.emit(
-                        ChunkCopiedEvent(
-                            t=engine.now,
-                            actor=str(self.rank),
-                            chunk=chunk.name,
-                            nbytes=wire_bytes,
-                            start=copy_start,
-                            stream="local",
-                            phase="coordinated",
-                            destination=dest.name,
-                            pages=pages,
-                            bytes_saved=chunk.nbytes - nbytes_moved,
-                            codec=payload.codec if payload is not None else "raw",
-                            logical_bytes=nbytes_moved,
-                            tenant=self.tenant,
-                        )
-                    )
                 if self.tracks_dirty:
                     chunk.mark_precopied("local")
                 else:
@@ -509,6 +421,11 @@ class CheckpointEngine:
         self._finish_interval(stats)
         return stats
 
+    def _copied(self, chunk: Chunk) -> bool:
+        """The coordinated copy's write completed: it always lands."""
+        fire("local.copy.after", chunk=chunk, rank=self.rank)
+        return True
+
     # ------------------------------------------------------------------
     # Interval bookkeeping.
     # ------------------------------------------------------------------
@@ -564,3 +481,7 @@ class CheckpointEngine:
         to chunk protection (charged by the app model to compute)."""
         faults = sum(c.fault_count for c in self.allocator.chunks())
         return faults * self.policy.fault_cost
+
+
+#: the historical name of the per-rank coordinated checkpointer
+LocalCheckpointer = CheckpointEngine

@@ -10,8 +10,8 @@ by the remote helper).  It runs as a DES process that continuously:
    prediction table expects no further modifications).  The largest
    eligible chunk goes first, ties to the one that entered the dirty
    index earliest;
-2. moves it through the injected transfer function (bus/fabric
-   contention is charged there);
+2. moves it with the one copy step (:func:`~repro.core.copystep.copy_chunk`)
+   into the node's NVM shadow arena (bus contention is charged there);
 3. marks the chunk pre-copied: clean for this stream + write-protected,
    so the next application write faults and re-dirties it.
 
@@ -40,10 +40,11 @@ from ..alloc.chunk import Chunk, ChunkState
 from ..config import PrecopyPolicy
 from ..errors import SimulationError, TransferCancelled
 from ..faults.crashpoints import fire
-from ..metrics.trace import BUS, ChunkCopiedEvent, PolicyDecisionEvent
+from ..metrics.trace import BUS, PolicyDecisionEvent
 from ..sim.events import Event
-from ..units import pages_of
 from .context import NodeContext
+from .copystep import PayloadCodec, copy_chunk
+from .destination import Destination, NVMArenaDestination
 from .policy import CheckpointPolicy, Decision, IntervalClock, resolve_policy
 from .prediction import PredictionTable
 from .threshold import ThresholdEstimator
@@ -81,12 +82,10 @@ class PrecopyEngine:
         *,
         stream: str = "local",
         tag: str = "precopy",
-        transfer_fn: Optional[Callable[[Chunk], Event]] = None,
-        finalize_fn: Optional[Callable[[Chunk], None]] = None,
         threshold: Optional[ThresholdEstimator] = None,
         prediction: Optional[PredictionTable] = None,
         decision_policy: Optional[CheckpointPolicy] = None,
-        codec_hooks=None,
+        codec_hooks: Optional[PayloadCodec] = None,
         tenant: str = "",
     ) -> None:
         if stream not in ("local", "remote"):
@@ -97,24 +96,18 @@ class PrecopyEngine:
         self.stream = stream
         self.tag = tag
         self.tenant = tenant
-        self._transfer_fn = transfer_fn or self._default_transfer
-        self._finalize_fn = finalize_fn or self._default_finalize
-        #: page-granular incremental copy applies only to the default
-        #: local DRAM→NVM path; injected transfer/finalize callables
-        #: (remote helper, legacy facades) keep whole-chunk semantics
-        self._incremental = (
-            policy.incremental
-            and stream == "local"
-            and transfer_fn is None
-            and finalize_fn is None
-        )
-        #: payload-codec hooks (plan/account/publish — duck-typed to
-        #: the owning CheckpointEngine); like incremental extents, the
-        #: codec applies only to the default local DRAM→NVM path
-        self._codec = (
-            codec_hooks
-            if stream == "local" and transfer_fn is None and finalize_fn is None
-            else None
+        #: where copies land: the node's NVM shadow arena.  The owning
+        #: CheckpointEngine points this at its own arena, so pre-copies
+        #: and the coordinated step stage into one digest index.
+        self.destination: Destination = NVMArenaDestination(ctx, None)
+        #: page-granular extents and the payload codec (the owning
+        #: engine's plan/account/publish object) apply to the local
+        #: stream's DRAM→NVM copies only
+        self._incremental = policy.incremental and stream == "local"
+        self._codec = codec_hooks if stream == "local" else None
+        #: the ``chunk.copied`` fields this engine stamps on its copies
+        self._labels = dict(
+            actor=tag, stream=stream, phase="precopy", tenant=tenant
         )
         self.threshold = threshold
         self.prediction = prediction
@@ -159,7 +152,6 @@ class PrecopyEngine:
         self._heap: List[Tuple[int, int, int]] = []
         #: (policy, admits_epoch) the index was last evaluated under
         self._indexed_under: Optional[tuple] = None
-        self._inflight_chunk: Optional[Chunk] = None
         self._inflight_done: Optional[Event] = None
 
     # ------------------------------------------------------------------
@@ -217,7 +209,7 @@ class PrecopyEngine:
     ) -> None:
         """Swap the scheduling strategy mid-run (the checkpoint
         engine's hot policy switch).  The copy mechanism — stream,
-        transfer fns, incremental extents — is untouched; only the
+        destination, incremental extents — is untouched; only the
         when-does-a-chunk-move question changes.  Call between
         intervals (while no copy is in flight for a conflicting
         strategy); the wake kick re-evaluates eligibility immediately.
@@ -341,16 +333,6 @@ class PrecopyEngine:
         return None
 
     # ------------------------------------------------------------------
-    # Default local-stream transfer.
-    # ------------------------------------------------------------------
-
-    def _default_transfer(self, chunk: Chunk) -> Event:
-        return self.ctx.copy_to_nvm(chunk.nbytes, tag=self.tag)
-
-    def _default_finalize(self, chunk: Chunk) -> None:
-        chunk.stage_to_nvm()
-
-    # ------------------------------------------------------------------
     # Main loop (DES process body).
     # ------------------------------------------------------------------
 
@@ -389,11 +371,10 @@ class PrecopyEngine:
 
     def _copy_one(self, chunk: Chunk):
         fire("precopy.copy.before", chunk=chunk, stream=self.stream)
-        copy_start = self.ctx.engine.now
         if BUS.active:
             BUS.emit(
                 PolicyDecisionEvent(
-                    t=copy_start,
+                    t=self.ctx.engine.now,
                     actor=self.tag,
                     chunk=chunk.name,
                     decision=Decision.PRECOPY.value,
@@ -401,84 +382,52 @@ class PrecopyEngine:
                 )
             )
         mods_before = chunk.total_mods
-        # page-granular mode: move only the extents stale for the
-        # in-progress slot (a post-pre-copy re-copy moves just the
-        # re-dirtied pages, not the whole chunk)
-        extents = chunk.copy_extents("local") if self._incremental else None
-        if extents is None:
-            nbytes_moved = chunk.nbytes
-            pages = pages_of(chunk.nbytes)
-        else:
-            nbytes_moved = sum(n for _, n in extents)
-            pages = sum(pages_of(n) for _, n in extents)
-        payload = (
-            self._codec.plan_payload(chunk, extents) if self._codec is not None else None
-        )
         chunk.set_state(self.stream, ChunkState.PRECOPYING)
-        self._inflight_chunk = chunk
         self._inflight_done = self.ctx.engine.event("precopy.inflight")
-        cancelled = False
+
+        def landed(chunk: Chunk) -> bool:
+            self._end_inflight(chunk)
+            fire("precopy.copy.after", chunk=chunk, stream=self.stream)
+            # an application write during the transfer tore the copy:
+            # nothing stages, so the stale bits stay set and a retry
+            # re-copies (the moved bytes still count as work)
+            return chunk.total_mods == mods_before
+
         try:
-            if payload is not None:
-                yield self.ctx.copy_to_nvm(payload.wire_bytes, tag=self.tag)
-            elif extents is None:
-                yield self._transfer_fn(chunk)
-            else:
-                yield self.ctx.copy_to_nvm(nbytes_moved, tag=self.tag)
+            wire, _ = yield from copy_chunk(
+                self.ctx.engine,
+                chunk,
+                self.destination,
+                self._codec,
+                incremental=self._incremental,
+                tag=self.tag,
+                labels=self._labels,
+                after_write=landed,
+            )
         except TransferCancelled:
             # a failure tore the flow down; the chunk stays dirty and
             # the engine moves on (it may retry after recovery)
-            cancelled = True
-        finally:
-            chunk.set_state(self.stream, ChunkState.IDLE)
-            self._inflight_chunk = None
-            self._inflight_done.succeed()
-            self._inflight_done = None
-        if cancelled:
             self.stats.stale_copies += 1
             return
-        fire("precopy.copy.after", chunk=chunk, stream=self.stream)
+        finally:
+            self._end_inflight(chunk)
         self.stats.copies += 1
-        wire_bytes = nbytes_moved
-        if payload is not None:
-            wire_bytes = payload.wire_bytes
-            self._codec.account_payload(payload)
-        self.stats.bytes_copied += wire_bytes
-        # the copy event fires for torn copies too: the bytes *did*
-        # move (and count against the stats), the data just stayed
-        # stale — replay accounting must see every byte the stats saw
-        if BUS.active:
-            BUS.emit(
-                ChunkCopiedEvent(
-                    t=self.ctx.engine.now,
-                    actor=self.tag,
-                    chunk=chunk.name,
-                    nbytes=wire_bytes,
-                    start=copy_start,
-                    stream=self.stream,
-                    phase="precopy",
-                    pages=pages,
-                    bytes_saved=chunk.nbytes - nbytes_moved,
-                    codec=payload.codec if payload is not None else "raw",
-                    logical_bytes=nbytes_moved,
-                    tenant=self.tenant,
-                )
-            )
+        self.stats.bytes_copied += wire
         if chunk.total_mods != mods_before:
-            # torn copy: application wrote during the transfer (the
-            # stale bits were never cleared, so a retry re-copies)
             self.stats.stale_copies += 1
             if self.prediction is not None:
                 self.prediction.record_outcome(chunk, was_redundant=True)
             return
-        if extents is None:
-            self._finalize_fn(chunk)
-        else:
-            chunk.stage_to_nvm(extents)
-        if payload is not None:
-            # digests publish only for copies that actually staged —
-            # a torn copy's digests describe content that never landed
-            self._codec.publish_payload(chunk, payload)
         chunk.mark_precopied(self.stream)
         self._pending_clean[chunk.chunk_id] = chunk
         fire("precopy.finalize.after", chunk=chunk, stream=self.stream)
+
+    def _end_inflight(self, chunk: Chunk) -> None:
+        """The copy's transfer is over (landed or torn down): the chunk
+        is idle again and a coordinated step draining this engine may
+        proceed.  Idempotent."""
+        if self._inflight_done is None:
+            return
+        chunk.set_state(self.stream, ChunkState.IDLE)
+        self._inflight_done.succeed()
+        self._inflight_done = None

@@ -47,27 +47,14 @@ from ..errors import (
 from ..faults.crashpoints import fire
 from ..metrics import timeline as tl
 from ..metrics.timeline import Timeline
-from ..metrics.trace import (
-    BUS,
-    ChunkCopiedEvent,
-    CodecDecisionEvent,
-    FailoverEvent,
-    PolicyDecisionEvent,
-)
+from ..metrics.trace import BUS, FailoverEvent, PolicyDecisionEvent
 from ..net.interconnect import Fabric
 from ..net.rdma import rdma_put
 from ..sim.events import Event
-from ..units import pages_of, usec
-from .codec import (
-    DEFAULT_BLOCK,
-    BlockStore,
-    EntropyProbe,
-    Payload,
-    blocks_of_extents,
-    current_digests,
-    resolve_codec,
-)
+from ..units import usec
+from .codec import DEFAULT_BLOCK, BlockStore
 from .context import NodeContext
+from .copystep import PayloadCodec, copy_chunk
 from .destination import RemoteBuddyDestination
 
 __all__ = ["RemoteTarget", "RemoteHelper", "RemoteCheckpointStats"]
@@ -339,11 +326,12 @@ class RemoteHelper:
             a.pid: RemoteTarget(a.pid, buddy_ctx, two_versions=self.config.two_versions)
             for a in ranks
         }
-        #: per-rank Destination view of the buddy arena: stage/commit/
-        #: read go through the same backend protocol as the local tiers
-        #: (multilevel checkpointing = local destination + this one)
+        #: per-rank Destination view of the buddy arena: every send,
+        #: stage, commit and read goes through the same backend protocol
+        #: as the local tiers (multilevel checkpointing = local
+        #: destination + this one)
         self.destinations: Dict[str, RemoteBuddyDestination] = {
-            pid: self._make_destination(pid, target)
+            pid: RemoteBuddyDestination(target, self)
             for pid, target in self.targets.items()
         }
         #: payload codec on the fabric path (None on the raw default).
@@ -358,7 +346,7 @@ class RemoteHelper:
                 "volume; set precopy.codec='raw' or drop the compression model"
             )
         self.codec = (
-            resolve_codec(self.config.precopy.codec)
+            PayloadCodec(self.config.precopy.codec, actor=self.owner, engine=ctx.engine)
             if self.config.precopy.codec_enabled
             else None
         )
@@ -375,15 +363,9 @@ class RemoteHelper:
                     policy="compression",
                 )
             )
-        self.entropy_probe = EntropyProbe() if self.codec is not None else None
         if self.codec is not None:
             for dest in self.destinations.values():
                 dest.ensure_block_store(self.config.precopy.codec_block)
-        self.codec_logical_bytes = 0
-        self.codec_wire_bytes = 0
-        self.codec_delta_bytes = 0
-        self.codec_blocks_new = 0
-        self.codec_blocks_ref = 0
         self.history: List[RemoteCheckpointStats] = []
         self.rounds_behind = 0
         self._stop = False
@@ -409,14 +391,6 @@ class RemoteHelper:
         #: being prepared as) a pairing; valid for reuse only while the
         #: buddy's context is unchanged (hardware replacement voids it).
         self._known_targets: Dict[int, Dict[str, RemoteTarget]] = {}
-
-    def _make_destination(self, pid: str, target: RemoteTarget) -> RemoteBuddyDestination:
-        def send_fn(chunk: Chunk, extents=None, pid: str = pid, wire=None) -> Event:
-            if wire is None:
-                wire = chunk.nbytes if extents is None else sum(n for _, n in extents)
-            return self._send(pid, chunk, "rckpt", nbytes=wire)
-
-        return RemoteBuddyDestination(target, send_fn=send_fn)
 
     @property
     def incremental(self) -> bool:
@@ -531,138 +505,79 @@ class RemoteHelper:
     # Transfers.
     # ------------------------------------------------------------------
 
-    def _plan_payload(self, pid: str, chunk: Chunk, extents) -> Optional[Payload]:
-        """Plan what crosses the fabric for *chunk*'s pending extents;
-        ``None`` on the raw path.  Digest state lives on the *current*
-        buddy's target store, so a failover's fresh store honestly
-        forgets what the old buddy held."""
-        if self.codec is None:
-            return None
-        dest = self.destinations[pid]
-        slot, base_slot = dest.codec_slots(chunk)
-        payload = self.codec.plan(
-            chunk,
-            extents,
-            store=dest.block_store,
-            slot=slot,
-            base_slot=base_slot,
-            probe=self.entropy_probe,
-        )
-        payload.slot = slot
-        if payload.candidates is not None and BUS.active:
-            BUS.emit(
-                CodecDecisionEvent(
-                    t=self.ctx.engine.now,
-                    actor=self.owner,
-                    chunk=chunk.name,
-                    chosen=payload.codec,
-                    raw_bytes=payload.candidates.get("raw", 0),
-                    delta_bytes=payload.candidates.get("delta", 0),
-                    dedup_bytes=payload.candidates.get("dedup", 0),
-                    entropy=payload.entropy,
-                    density=payload.density,
-                )
-            )
-        return payload
-
-    def _account_payload(self, payload: Payload) -> None:
-        self.codec_logical_bytes += payload.logical_bytes
-        self.codec_wire_bytes += payload.wire_bytes
-        if payload.kind == "delta":
-            self.codec_delta_bytes += payload.changed_bytes
-        self.codec_blocks_new += payload.blocks_new
-        self.codec_blocks_ref += payload.blocks_ref
-
-    def _publish_payload(self, pid: str, chunk: Chunk, payload: Payload) -> None:
-        """Stage the payload's digests into the buddy target's store
-        (refcounted at the next remote commit).
-
-        Coverage and digests are re-derived from what the stage call
-        actually wrote (:attr:`RemoteTarget.last_staged_runs`), not from
-        the pre-transfer plan: writes that raced the fabric transfer
-        land in the staged version too, and the index must describe
-        what the buddy really holds."""
-        store = self.destinations[pid].block_store
-        if store is None or payload.block_index is None:
-            return
-        runs = self.targets[pid].last_staged_runs
-        idx = blocks_of_extents(runs, store.block, chunk.nbytes)
-        if len(idx):
-            store.stage(
-                chunk.name,
-                payload.slot,
-                idx,
-                current_digests(chunk, idx, store.block),
-            )
-
     def _charge_cpu(self, nbytes: int, streamed: bool) -> None:
         cost = nbytes * HELPER_CPU_PER_BYTE + PER_CHUNK_CPU
         if streamed:
             cost += nbytes * TRACKING_CPU_PER_BYTE
         self.ctx.cpu.charge(self.owner, cost)
 
-    def _send(self, pid: str, chunk: Chunk, kind: str, nbytes: Optional[int] = None) -> Event:
-        wire = chunk.nbytes if nbytes is None else nbytes
+    def send(self, pid: str, chunk: Chunk, nbytes: int, *, kind: str):
+        """Generator: the helper's one fabric delivery — *nbytes* of
+        rank *pid*'s *chunk* to the current buddy, *kind* naming the
+        traffic.  A compression model shrinks the wire bytes and
+        charges its CPU once per delivery (not per retry), while the
+        full payload still lands on the buddy's NVM bus.  With a
+        resilient transport a link flap retries instead of failing the
+        caller."""
+        landed = nbytes
         if self.compression is not None:
-            wire = self.compression.wire_bytes(chunk)
-            # sender compresses, buddy decompresses; the decompressed
-            # payload is what lands in the buddy's NVM, so the NVM bus
-            # still carries the full size
+            nbytes = self.compression.wire_bytes(chunk)
+            landed = chunk.nbytes
             self.ctx.cpu.charge(self.owner, self.compression.compress_cost(chunk.nbytes))
             self.buddy_ctx.cpu.charge(
                 f"{self.owner}:rx", self.compression.decompress_cost(chunk.nbytes)
             )
-            net_ev = self.fabric.transfer(
-                self.node_id, self.buddy_id, wire, tag=f"{pid}:{kind}"
-            )
-            nvm_ev = self.buddy_ctx.nvm_bus.transfer(chunk.nbytes, tag=f"{pid}:{kind}")
-            return self.ctx.engine.all_of([net_ev, nvm_ev])
-        return rdma_put(
-            self.fabric,
-            self.node_id,
-            self.buddy_id,
-            wire,
-            tag=f"{pid}:{kind}",
-            dst_nvm_bus=self.buddy_ctx.nvm_bus,
-        )
-
-    def _deliver(self, pid: str, chunk: Chunk, kind: str, nbytes: Optional[int] = None):
-        """Send one chunk to the buddy, through the resilient transport
-        when one is attached (plain one-shot send otherwise).  *nbytes*
-        overrides the wire volume (extent sends move only the stale byte
-        runs).  Compressed sends ride the same retry/stall-timeout
-        transport as raw ones — the wire bytes cross the fabric while
-        the full payload lands on the buddy's NVM bus — so a link flap
-        retries instead of hard-failing the round."""
-        if self.resilience is None:
-            yield self._send(pid, chunk, kind, nbytes=nbytes)
-            return
-        if self.compression is not None:
-            # compress once per delivery, not per retry attempt: the
-            # sender keeps the compressed buffer across re-issues
-            wire = self.compression.wire_bytes(chunk)
-            self.ctx.cpu.charge(self.owner, self.compression.compress_cost(chunk.nbytes))
-            self.buddy_ctx.cpu.charge(
-                f"{self.owner}:rx", self.compression.decompress_cost(chunk.nbytes)
-            )
+        tag = f"{pid}:{kind}"
+        if self.resilience is not None:
             yield from self.resilience.put(
                 self.fabric,
                 self.node_id,
                 self.buddy_id,
-                wire,
-                tag=f"{pid}:{kind}",
+                nbytes,
+                tag=tag,
                 dst_nvm_bus=self.buddy_ctx.nvm_bus,
-                dst_nvm_bytes=chunk.nbytes,
+                dst_nvm_bytes=landed,
             )
-            return
-        yield from self.resilience.put(
-            self.fabric,
-            self.node_id,
-            self.buddy_id,
-            chunk.nbytes if nbytes is None else nbytes,
-            tag=f"{pid}:{kind}",
-            dst_nvm_bus=self.buddy_ctx.nvm_bus,
+        else:
+            yield rdma_put(
+                self.fabric,
+                self.node_id,
+                self.buddy_id,
+                nbytes,
+                tag=tag,
+                dst_nvm_bus=self.buddy_ctx.nvm_bus,
+                dst_nvm_bytes=landed,
+            )
+
+    def _copy(self, pid: str, chunk: Chunk, *, streamed: bool):
+        """Generator: one chunk to the buddy through the copy step, as
+        a stream pre-copy or a round copy; returns the wire bytes.
+        Transfer errors propagate to the caller's requeue or abort."""
+        dest = self.destinations[pid]
+        point = "remote.stream.before_send" if streamed else "remote.round.before_send"
+
+        def before_send(wire: int) -> None:
+            self._charge_cpu(wire, streamed=streamed)
+            fire(point, chunk=chunk, pid=pid)
+
+        wire, _ = yield from copy_chunk(
+            self.ctx.engine,
+            chunk,
+            dest,
+            self.codec,
+            incremental=self.incremental,
+            tag="rprecopy" if streamed else "rckpt",
+            labels=dict(
+                actor=self.owner,
+                stream="remote",
+                phase="precopy" if streamed else "coordinated",
+                destination=dest.name,
+                tenant=self.tenants.get(pid, ""),
+            ),
+            before_write=before_send,
         )
+        self._record_replicated(pid, chunk)
+        return wire
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -732,7 +647,7 @@ class RemoteHelper:
             if dest is not None:
                 dest.retarget(target)
             else:
-                self.destinations[pid] = self._make_destination(pid, target)
+                self.destinations[pid] = RemoteBuddyDestination(target, self)
         if self.codec is not None:
             # a reused target keeps its digest index (its copies are
             # still resident); fresh hardware starts an empty one
@@ -813,33 +728,13 @@ class RemoteHelper:
                 continue
             pid, chunk = item
             t0 = engine.now
-            extents = (
-                self.destinations[pid].pending_extents(chunk)
-                if self.incremental
-                else None
-            )
-            if extents is None:
-                logical = chunk.nbytes
-                pages = pages_of(chunk.nbytes)
-            else:
-                logical = sum(n for _, n in extents)
-                pages = sum(pages_of(n) for _, n in extents)
-            payload = self._plan_payload(pid, chunk, extents)
-            wire = logical if payload is None else payload.wire_bytes
-            self._charge_cpu(wire, streamed=True)
-            fire("remote.stream.before_send", chunk=chunk, pid=pid)
             try:
-                yield from self._deliver(pid, chunk, "rprecopy", nbytes=wire)
+                wire = yield from self._copy(pid, chunk, streamed=True)
             except (TransferCancelled, TransferFailed):
                 # failure tore the flow down (or retries ran out);
                 # requeue so the chunk is retried or swept up later
                 self._queue.setdefault((pid, chunk.chunk_id), chunk)
                 continue
-            self.destinations[pid].stage(chunk, extents)
-            if payload is not None:
-                self._account_payload(payload)
-                self._publish_payload(pid, chunk, payload)
-            self._record_replicated(pid, chunk)
             fire(
                 "remote.stream.after_stage",
                 chunk=chunk,
@@ -851,24 +746,6 @@ class RemoteHelper:
             self.stream_chunks += 1
             if self.timeline is not None:
                 self.timeline.record(self.owner, tl.REMOTE_PRECOPY, t0, engine.now)
-            if BUS.active:
-                BUS.emit(
-                    ChunkCopiedEvent(
-                        t=engine.now,
-                        actor=self.owner,
-                        chunk=chunk.name,
-                        nbytes=wire,
-                        start=t0,
-                        stream="remote",
-                        phase="precopy",
-                        destination=self.destinations[pid].name,
-                        pages=pages,
-                        bytes_saved=chunk.nbytes - logical,
-                        codec=payload.codec if payload is not None else "raw",
-                        logical_bytes=logical,
-                        tenant=self.tenants.get(pid, ""),
-                    )
-                )
             # pacing: never run faster than pace_rate on average
             target_duration = wire / self.pace_rate
             elapsed = engine.now - t0
@@ -909,33 +786,14 @@ class RemoteHelper:
                 stats.chunks_skipped += len(alloc.persistent_chunks()) - len(chunks)
                 aborted = False
                 for chunk in chunks:
-                    extents = (
-                        dest.pending_extents(chunk) if self.incremental else None
-                    )
-                    if extents is None:
-                        logical = chunk.nbytes
-                        pages = pages_of(chunk.nbytes)
-                    else:
-                        logical = sum(n for _, n in extents)
-                        pages = sum(pages_of(n) for _, n in extents)
-                    payload = self._plan_payload(alloc.pid, chunk, extents)
-                    wire = logical if payload is None else payload.wire_bytes
-                    self._charge_cpu(wire, streamed=False)
-                    fire("remote.round.before_send", chunk=chunk, pid=alloc.pid)
-                    t0 = engine.now
                     try:
-                        yield from self._deliver(alloc.pid, chunk, "rckpt", nbytes=wire)
+                        wire = yield from self._copy(alloc.pid, chunk, streamed=False)
                     except (TransferCancelled, TransferFailed):
                         # a failure interrupted the round (or retries
                         # ran out): abandon it; the previous committed
                         # remote version stands
                         aborted = True
                         break
-                    dest.stage(chunk, extents)
-                    if payload is not None:
-                        self._account_payload(payload)
-                        self._publish_payload(alloc.pid, chunk, payload)
-                    self._record_replicated(alloc.pid, chunk)
                     fire(
                         "remote.round.after_stage",
                         chunk=chunk,
@@ -946,24 +804,6 @@ class RemoteHelper:
                     self._queue.pop((alloc.pid, chunk.chunk_id), None)
                     stats.bytes_moved += wire
                     stats.chunks_moved += 1
-                    if BUS.active:
-                        BUS.emit(
-                            ChunkCopiedEvent(
-                                t=engine.now,
-                                actor=self.owner,
-                                chunk=chunk.name,
-                                nbytes=wire,
-                                start=t0,
-                                stream="remote",
-                                phase="coordinated",
-                                destination=dest.name,
-                                pages=pages,
-                                bytes_saved=chunk.nbytes - logical,
-                                codec=payload.codec if payload is not None else "raw",
-                                logical_bytes=logical,
-                                tenant=self.tenants.get(alloc.pid, ""),
-                            )
-                        )
                 if aborted:
                     break
                 flush_cost = dest.commit(chunks, with_checksum=self.config.checksums)
@@ -979,11 +819,6 @@ class RemoteHelper:
     # ------------------------------------------------------------------
     # Accounting.
     # ------------------------------------------------------------------
-
-    @property
-    def codec_saved_bytes(self) -> int:
-        """Fabric bytes the payload codec kept off the wire."""
-        return max(0, self.codec_logical_bytes - self.codec_wire_bytes)
 
     @property
     def total_round_bytes(self) -> int:

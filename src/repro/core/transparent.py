@@ -29,8 +29,7 @@ from ..errors import CheckpointError
 from ..metrics.timeline import Timeline
 from ..units import MiB, align_up
 from .context import NodeContext
-from .engine import CheckpointStats
-from .local import LocalCheckpointer
+from .engine import CheckpointStats, LocalCheckpointer
 
 __all__ = ["TransparentCheckpointer"]
 

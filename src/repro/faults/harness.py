@@ -40,7 +40,7 @@ from ..alloc.chunk import Chunk
 from ..alloc.nvmalloc import NVAllocator
 from ..config import CheckpointConfig, PrecopyPolicy
 from ..core.context import NodeContext, make_standalone_context
-from ..core.local import LocalCheckpointer
+from ..core.engine import LocalCheckpointer
 from ..core.remote import RemoteHelper, RemoteTarget
 from ..core.restart import RestartManager, RestartReport
 from ..errors import CheckpointError, CrashInjected, NoCheckpointAvailable, ReproError

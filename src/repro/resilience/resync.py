@@ -86,7 +86,9 @@ class ResyncTask:
                 t0 = engine.now
                 helper._charge_cpu(chunk.nbytes, streamed=True)
                 try:
-                    yield from helper._deliver(pid, chunk, "resync")
+                    yield from helper.destinations[pid].write(
+                        chunk, chunk.nbytes, tag="resync"
+                    )
                 except (TransferCancelled, TransferFailed):
                     helper._queue.setdefault((pid, chunk.chunk_id), chunk)
                     failures += 1

@@ -1,28 +1,19 @@
-"""Stdlib lint gate: ban new imports of deprecated checkpointer shims.
+"""Stdlib lint gate: ban deleted checkpointer shims from coming back.
 
-The policy/destination/engine refactor left the historical entry points
-in place as deprecation shims so downstream code keeps working — but
-*new* library code must target the unified pipeline.  This checker
-walks the AST of every non-test module under ``src/`` and fails on:
-
-* ``make_pfs_transfer`` (use
-  :class:`repro.core.destination.PfsDestination`);
-* importing ``CheckpointStats`` from ``repro.core.local`` (it lives in
-  :mod:`repro.core.engine`; the ``local`` re-export exists only for
-  old callers);
-* any mention of ``checkpoint_sync`` — the shim was removed in 1.1.0,
-  and *defining* a method of that name is banned too, so the alias
-  cannot quietly come back (use ``checkpoint()`` /
-  ``checkpoint(blocking=False)``).
+The policy/destination/engine refactor deleted the historical entry
+points; library code must target the unified pipeline.  This checker
+walks the AST of every module under the given paths and fails on any
+mention of ``checkpoint_sync`` — the shim was removed in 1.1.0, and
+*defining* a method of that name is banned too, so the alias cannot
+quietly come back (use ``checkpoint()`` /
+``checkpoint(blocking=False)``).
 
 Runs on the plain stdlib so ``make lint`` works in environments without
 ruff; CI layers ruff on top.  Usage::
 
     python -m repro.tools.lintcheck [paths...]
 
-Exits non-zero listing every violation.  Tests are exempt (they cover
-the shims' deprecation behaviour); the defining modules themselves are
-exempt for their own names.
+Exits non-zero listing every violation.
 """
 
 from __future__ import annotations
@@ -34,34 +25,13 @@ from typing import Iterator, List, Tuple
 
 __all__ = ["check_file", "check_tree", "main"]
 
-#: deprecated names whose *import or call* is banned in non-test modules
+#: deleted names whose import, use or definition is banned
 BANNED_NAMES = {
-    "make_pfs_transfer": "build a repro.core.destination.PfsDestination instead",
     "checkpoint_sync": "use checkpoint() / checkpoint(blocking=False)",
-}
-
-#: (module suffix, name): importing this name from this module is banned
-BANNED_FROM = {
-    ("repro.core.local", "CheckpointStats"): "import it from repro.core.engine",
-    ("core.local", "CheckpointStats"): "import it from repro.core.engine",
-    (".local", "CheckpointStats"): "import it from .engine",
-}
-
-#: files allowed to mention a banned name (they define/re-export it).
-#: ``checkpoint_sync`` has no entry on purpose: the shim is deleted, so
-#: *no* module may define or reference it.
-DEFINING_MODULES = {
-    "make_pfs_transfer": ("baselines/pfs.py", "baselines/__init__.py"),
-    "CheckpointStats": ("core/local.py",),
 }
 
 
 Violation = Tuple[str, int, str]
-
-
-def _is_exempt(path: str, name: str) -> bool:
-    norm = path.replace(os.sep, "/")
-    return any(norm.endswith(suffix) for suffix in DEFINING_MODULES.get(name, ()))
 
 
 def check_file(path: str) -> List[Violation]:
@@ -76,37 +46,26 @@ def check_file(path: str) -> List[Violation]:
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module is not None:
             for alias in node.names:
-                hint = BANNED_FROM.get((node.module, alias.name))
-                if hint is None and node.level:  # relative import
-                    hint = BANNED_FROM.get((f"{'.' * node.level}{node.module}", alias.name))
-                if hint is not None and not _is_exempt(path, alias.name):
-                    out.append(
-                        (path, node.lineno,
-                         f"deprecated import: from {node.module} import {alias.name} — {hint}")
-                    )
-                if alias.name in BANNED_NAMES and not _is_exempt(path, alias.name):
+                if alias.name in BANNED_NAMES:
                     out.append(
                         (path, node.lineno,
                          f"deprecated import: {alias.name} — {BANNED_NAMES[alias.name]}")
                     )
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in BANNED_NAMES:
-            if not _is_exempt(path, node.name):
-                out.append(
-                    (path, node.lineno,
-                     f"banned definition: def {node.name} — {BANNED_NAMES[node.name]}")
-                )
+            out.append(
+                (path, node.lineno,
+                 f"banned definition: def {node.name} — {BANNED_NAMES[node.name]}")
+            )
         elif isinstance(node, ast.Attribute) and node.attr in BANNED_NAMES:
-            if not _is_exempt(path, node.attr):
-                out.append(
-                    (path, node.lineno,
-                     f"deprecated use: .{node.attr} — {BANNED_NAMES[node.attr]}")
-                )
+            out.append(
+                (path, node.lineno,
+                 f"deprecated use: .{node.attr} — {BANNED_NAMES[node.attr]}")
+            )
         elif isinstance(node, ast.Name) and node.id in BANNED_NAMES:
-            if not _is_exempt(path, node.id):
-                out.append(
-                    (path, node.lineno,
-                     f"deprecated use: {node.id} — {BANNED_NAMES[node.id]}")
-                )
+            out.append(
+                (path, node.lineno,
+                 f"deprecated use: {node.id} — {BANNED_NAMES[node.id]}")
+            )
     return out
 
 

@@ -7,7 +7,7 @@ simulated semantics (and say so in the PR):
 
     PYTHONPATH=src python tests/golden/generate_fixtures.py
 
-Three fixtures:
+Four fixtures:
 
 * ``pinned_grid_records.json`` — the 16-cell pinned bench grid
   (``repro.tools.bench.PINNED_GRID``) executed on the serial reference
@@ -24,6 +24,11 @@ Three fixtures:
   dcpc and dcpcp) on the serial reference path.  Every chunk has the
   same size, so the pre-copy engine's tie-break (earliest insertion
   into its dirty index) decides every pick.
+* ``codec_remote_records.json`` — the copy paths the other grids miss
+  (see :data:`CODEC_REMOTE_GRID`): the page-granular payload codec on
+  the local and remote tiers, the raw wire-compression model, and a
+  hard-failure schedule (degraded mode, and a buddy re-sync through
+  the helper's send).
 """
 
 from __future__ import annotations
@@ -152,6 +157,55 @@ def fine_chunks_records() -> list:
     return report.records
 
 
+#: options every codec/remote cell shares: the 2 x 4 testbed on LAMMPS
+_CODEC_REMOTE_TESTBED = (
+    "--nodes", "2", "--ranks-per-node", "4",
+    "--local-interval", "20", "--remote-interval", "60",
+    "--app", "lammps",
+)
+
+#: three sub-grids, each ``(base_args, axes)``: the codec-incremental
+#: shape (page extents, ``--codec auto``, none and dcpcp), one dcpcp
+#: cell under the raw ``--compress-ratio`` wire model, and one dcpcp
+#: cell whose failure schedule includes hard failures
+CODEC_REMOTE_GRID = (
+    (
+        [*_CODEC_REMOTE_TESTBED, "--iterations", "3", "--nvm-gbps", "2",
+         "--copy-granularity", "page", "--codec", "auto", "--seed", "1"],
+        ["mode=none,dcpcp"],
+    ),
+    (
+        [*_CODEC_REMOTE_TESTBED, "--iterations", "3", "--mode", "dcpcp",
+         "--compress-ratio", "0.6", "--seed", "1"],
+        [],
+    ),
+    (
+        [*_CODEC_REMOTE_TESTBED, "--mode", "dcpcp", "--iterations", "12",
+         "--mtbf-local", "120", "--mtbf-remote", "480"],
+        ["seed=53603676530129"],
+    ),
+)
+
+
+def codec_remote_records(trace=None) -> list:
+    """Records of every :data:`CODEC_REMOTE_GRID` cell, in order.
+
+    *trace*, an open text file, receives each sub-grid's trace events
+    as JSON lines.
+    """
+    from repro.exec.grid import run_grid
+    from repro.tools.sweep import parse_sweeps
+
+    records: list = []
+    for base_args, axes_specs in CODEC_REMOTE_GRID:
+        report = run_grid(
+            base_args, parse_sweeps(list(axes_specs)),
+            workers=1, cache=None, trace=trace,
+        )
+        records.extend(report.records)
+    return records
+
+
 def main() -> int:
     grid = pinned_grid_records()
     with open(os.path.join(FIXTURE_DIR, "pinned_grid_records.json"), "w") as fh:
@@ -164,6 +218,12 @@ def main() -> int:
         json.dump(fine, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"fine_chunks_records.json: {len(fine)} cells")
+
+    codec = codec_remote_records()
+    with open(os.path.join(FIXTURE_DIR, "codec_remote_records.json"), "w") as fh:
+        json.dump(codec, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"codec_remote_records.json: {len(codec)} cells")
 
     schedules = [standalone_schedule(mode) for mode in MODES]
     with open(os.path.join(FIXTURE_DIR, "standalone_schedules.json"), "w") as fh:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import SyntheticModel
-from repro.baselines import PfsModel, async_noprecopy_config, make_pfs_transfer
+from repro.baselines import PfsModel, async_noprecopy_config
 from repro.cluster import Cluster, ClusterRunner
 from repro.config import ClusterConfig
 from repro.sim import Engine
@@ -49,20 +49,6 @@ class TestPfsModel:
 
         run_proc(engine, p())
         assert pfs.total_bytes == pytest.approx(MB(7))
-
-    def test_transfer_adapter(self):
-        engine = Engine()
-        pfs = PfsModel(engine, aggregate_bandwidth=MB(10), metadata_latency=0.0)
-        fn = make_pfs_transfer(pfs, "r0")
-
-        class FakeChunk:
-            nbytes = MB(10)
-
-        def p():
-            yield fn(FakeChunk())
-            return engine.now
-
-        assert run_proc(engine, p()) == pytest.approx(1.0, rel=0.01)
 
 
 class TestClusterIntegration:

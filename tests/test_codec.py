@@ -400,3 +400,39 @@ def test_restart_digest_verification_catches_corruption():
     ctx.nvmm.crash_process("r0")
     with pytest.raises(AllReplicasLost, match="'a'"):
         RestartManager(ctx).restart_process_sync("r0", block_store=store)
+
+
+def test_unreadable_delta_base_raises_codec_error(monkeypatch):
+    """A real chunk whose committed base version cannot be read is a
+    corrupt shadow: planning a delta against it must fail loudly,
+    naming the chunk and slot, not price every covered byte as
+    changed."""
+    from repro.errors import PersistenceError
+
+    engine = Engine()
+    ctx = make_standalone_context(name="n0", engine=engine)
+    alloc = NVAllocator("r0", ctx.nvmm, ctx.dram, phantom=False, clock=lambda: engine.now)
+    ck = LocalCheckpointer(ctx, alloc, PrecopyPolicy(mode="none", codec="delta"))
+    a = alloc.nvalloc("a", 16 * 1024)
+    a.write(0, np.random.default_rng(43).integers(0, 255, size=16 * 1024, dtype=np.uint8))
+    assert engine.process(ck.checkpoint(blocking=False)) is not None
+    engine.run()
+    base_slot = a.committed_version
+    assert base_slot >= 0
+
+    store = ctx.nvmm.store
+    lost = a.versions[base_slot].region_id
+    read = store.read
+
+    def read_losing_base(region_id, offset=0, nbytes=None):
+        if region_id == lost:
+            raise PersistenceError(f"region {region_id!r} lost")
+        return read(region_id, offset, nbytes)
+
+    monkeypatch.setattr(store, "read", read_losing_base)
+    a.write(0, np.full(4096, 7, dtype=np.uint8))
+    proc = engine.process(ck.checkpoint(blocking=False))
+    engine.run()
+    assert proc.triggered and not proc.ok
+    assert isinstance(proc.exception, CodecError)
+    assert "'a'" in str(proc.exception) and f"slot {base_slot}" in str(proc.exception)

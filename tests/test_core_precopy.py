@@ -9,6 +9,7 @@ from repro.core import LocalCheckpointer, PrecopyEngine, make_standalone_context
 from repro.core.prediction import PredictionTable
 from repro.core.threshold import ThresholdEstimator
 from repro.errors import SimulationError
+from repro.metrics.trace import BUS
 from repro.units import MB
 
 
@@ -45,10 +46,13 @@ class TestCPC:
         order = []
         engine = PrecopyEngine(
             ctx, chunks=alloc.persistent_chunks, policy=PrecopyPolicy(mode="cpc"),
-            finalize_fn=lambda c: order.append(c.name),
         )
-        ctx.engine.process(engine.run())
-        ctx.engine.run(until=30.0)
+        sink = BUS.subscribe(lambda ev: order.append(ev.chunk), kinds=["chunk.copied"])
+        try:
+            ctx.engine.process(engine.run())
+            ctx.engine.run(until=30.0)
+        finally:
+            BUS.unsubscribe(sink)
         assert order[0] == "big"
 
     def test_redirtied_chunk_recopied(self):

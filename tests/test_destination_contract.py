@@ -7,6 +7,8 @@ the same :class:`~repro.core.engine.CheckpointEngine` walk.  This suite
 runs each backend through the shared contract:
 
 * protocol surface (name, two_version, capacity);
+* the one copy step (:func:`~repro.core.copystep.copy_chunk`) validates
+  extents the same way before any backend's write;
 * a full coordinated checkpoint through the engine completes with
   consistent stats;
 * committed payloads round-trip through ``read`` (two-version
@@ -25,7 +27,8 @@ from repro.alloc import NVAllocator
 from repro.baselines.pfs import PfsModel
 from repro.baselines.ramdisk import RamdiskPathModel
 from repro.config import PrecopyPolicy
-from repro.core import make_standalone_context
+from repro.core import RemoteHelper, make_standalone_context
+from repro.core.copystep import copy_chunk
 from repro.core.destination import (
     Destination,
     NVMArenaDestination,
@@ -34,9 +37,9 @@ from repro.core.destination import (
     RemoteBuddyDestination,
 )
 from repro.core.engine import CheckpointEngine
-from repro.core.remote import RemoteTarget
 from repro.errors import CheckpointError, CrashInjected
 from repro.faults.crashpoints import FaultInjector, install
+from repro.net import Fabric
 
 CHUNK_BYTES = 4096
 
@@ -67,11 +70,11 @@ class _Rig:
             self.buddy_ctx = make_standalone_context(
                 engine=self.ctx.engine, name=f"dst-{name}-buddy"
             )
-            target = RemoteTarget("p0", self.buddy_ctx, two_versions=True)
-            self.dest = RemoteBuddyDestination(
-                target,
-                send_fn=lambda chunk, extents=None, wire=None: self.ctx.engine.timeout(1e-3),
+            helper = RemoteHelper(
+                0, self.ctx, Fabric(self.ctx.engine, 2), 1, self.buddy_ctx, [self.alloc]
             )
+            self.dest = helper.destinations["p0"]
+            assert isinstance(self.dest, RemoteBuddyDestination)
         else:  # pragma: no cover - test bug
             raise ValueError(name)
 
@@ -111,7 +114,7 @@ def test_protocol_surface(rig):
 def test_base_protocol_is_abstract():
     d = Destination()
     with pytest.raises(NotImplementedError):
-        d.write(None)
+        d.write(None, 0)
     with pytest.raises(NotImplementedError):
         d.read("x")
     assert d.commit([]) == 0.0
@@ -208,25 +211,11 @@ def _crashed_second_checkpoint(rig, point: str, old, new):
 
 
 # ---------------------------------------------------------------------------
-# Range writes (write_at) and page-granular incremental copy.
+# Page-granular incremental copy.
 # ---------------------------------------------------------------------------
 
 PAGE = 4096
 INC_BYTES = 16 * PAGE  # multi-page, so partial-chunk dirtiness exists
-
-
-def test_base_write_at_falls_back_to_whole_chunk_write():
-    class _Recorder(Destination):
-        def __init__(self):
-            self.calls = []
-
-        def write(self, chunk, *, tag=""):
-            self.calls.append((chunk, tag))
-            return "evt"
-
-    d = _Recorder()
-    assert d.write_at("c", [(0, 10), (64, 32)], tag="t") == "evt"
-    assert d.calls == [("c", "t")]
 
 
 def _three_incremental_checkpoints(rig):
@@ -333,7 +322,8 @@ def test_crash_around_commit_is_never_torn(backend, point):
 
 
 # ---------------------------------------------------------------------------
-# write_at extent rejection: one shared contract across every backend.
+# Extent rejection: one shared contract across every backend, enforced
+# once by the copy step before the destination's single write.
 # ---------------------------------------------------------------------------
 
 BAD_EXTENTS = [
@@ -346,23 +336,39 @@ BAD_EXTENTS = [
 ]
 
 
+def _write_extents(rig, monkeypatch, chunk, extents):
+    """Start one incremental copy of *chunk* whose pending extents are
+    *extents*; returns the first event the destination's write yields."""
+    monkeypatch.setattr(rig.dest, "pending_extents", lambda c: extents)
+    step = copy_chunk(
+        rig.ctx.engine,
+        chunk,
+        rig.dest,
+        None,
+        incremental=True,
+        tag="t",
+        labels=dict(actor="t", stream="local", phase="coordinated"),
+    )
+    return next(step)
+
+
 @pytest.mark.parametrize("extents", BAD_EXTENTS)
-def test_write_at_rejects_malformed_extents(rig, extents):
+def test_write_at_rejects_malformed_extents(rig, monkeypatch, extents):
     """Out-of-range, overlapping and unsorted extents raise the same
     CheckpointError on every backend — callers can switch destinations
     without re-learning edge behaviour."""
     chunk = rig.alloc.nvalloc("a", CHUNK_BYTES)
     with pytest.raises(CheckpointError):
-        rig.dest.write_at(chunk, extents)
+        _write_extents(rig, monkeypatch, chunk, extents)
 
 
-def test_write_at_accepts_legal_extents(rig):
+def test_write_at_accepts_legal_extents(rig, monkeypatch):
     chunk = rig.alloc.nvalloc("a", CHUNK_BYTES)
     # adjacent-but-not-overlapping runs and a zero-length run are legal
-    evt = rig.dest.write_at(chunk, [(0, 64), (64, 0), (128, 64)])
+    evt = _write_extents(rig, monkeypatch, chunk, [(0, 64), (64, 0), (128, 64)])
     assert evt is not None
     # the whole chunk as one extent is always legal
-    assert rig.dest.write_at(chunk, [(0, CHUNK_BYTES)]) is not None
+    assert _write_extents(rig, monkeypatch, chunk, [(0, CHUNK_BYTES)]) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -98,3 +98,14 @@ def test_fine_chunks_grid_matches_golden():
     live = _roundtrip(gen.fine_chunks_records())
     assert len(live) == 2
     assert live == stored
+
+
+def test_codec_remote_grid_matches_golden():
+    """The codec on both tiers at page granularity, the raw wire
+    compression model and a hard-failure schedule (degraded mode and a
+    buddy re-sync) reproduce the records captured before the copy paths
+    were merged into one step."""
+    stored = _fixture("codec_remote_records.json")
+    live = _roundtrip(gen.codec_remote_records())
+    assert len(live) == 4
+    assert live == stored

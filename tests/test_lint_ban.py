@@ -1,8 +1,8 @@
-"""The deprecated-shim import ban (``make lint``'s AST gate).
+"""The deleted-shim ban (``make lint``'s AST gate).
 
 Two halves: the checker itself flags each banned pattern (and only
-those), and the live ``src/`` tree is clean — no non-test module
-imports the deprecation shims the refactor left behind.
+those), and the live ``src/`` tree is clean — no module brings back
+a shim the refactor deleted.
 """
 
 from __future__ import annotations
@@ -21,23 +21,6 @@ def _check_source(tmp_path, source: str, filename: str = "mod.py"):
     path = tmp_path / filename
     path.write_text(textwrap.dedent(source))
     return check_file(str(path))
-
-
-def test_flags_make_pfs_transfer_import(tmp_path):
-    vs = _check_source(
-        tmp_path, "from repro.baselines.pfs import make_pfs_transfer\n"
-    )
-    assert len(vs) == 1 and "make_pfs_transfer" in vs[0][2]
-    assert "PfsDestination" in vs[0][2]  # the fix is named in the message
-
-
-def test_flags_checkpoint_stats_from_local(tmp_path):
-    for stmt in (
-        "from repro.core.local import CheckpointStats",
-        "from .local import CheckpointStats",
-    ):
-        vs = _check_source(tmp_path, stmt + "\n")
-        assert len(vs) == 1 and "repro.core.engine" in vs[0][2] or ".engine" in vs[0][2]
 
 
 def test_flags_checkpoint_sync_call(tmp_path):
@@ -66,7 +49,7 @@ def test_clean_module_passes(tmp_path):
         tmp_path,
         """
         from repro.core.engine import CheckpointEngine, CheckpointStats
-        from repro.core.local import LocalCheckpointer
+        from repro.core import LocalCheckpointer
         from repro.core.destination import PfsDestination
 
         def f(ck):
@@ -74,14 +57,6 @@ def test_clean_module_passes(tmp_path):
         """,
     )
     assert vs == []
-
-
-def test_defining_modules_are_exempt(tmp_path):
-    d = tmp_path / "baselines"
-    d.mkdir()
-    path = d / "pfs.py"
-    path.write_text("def make_pfs_transfer(pfs, rank):\n    return None\n")
-    assert check_file(str(path)) == []
 
 
 def test_syntax_error_is_reported_not_raised(tmp_path):

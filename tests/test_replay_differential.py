@@ -35,12 +35,29 @@ BASE = {
 MODES = ["none", "cpc", "dcpc", "dcpcp"]
 GRANULARITIES = ["chunk", "page"]
 
+#: every mode at both granularities, plus the feature combinations
+#: whose copies take other branches of the copy step: the payload codec
+#: (local and remote), the raw wire-compression model, and rounds
+#: without the remote pre-copy stream
+SAME_CONFIG_CASES = [
+    pytest.param(g, m, {}, id=f"{g}-{m}") for g in GRANULARITIES for m in MODES
+] + [
+    pytest.param("page", "dcpcp", {"codec": "auto"}, id="page-dcpcp-codec"),
+    pytest.param("page", "none", {"codec": "auto"}, id="page-none-codec"),
+    pytest.param("chunk", "cpc", {"codec": "auto"}, id="chunk-cpc-codec"),
+    pytest.param("chunk", "dcpcp", {"compress_ratio": 0.6}, id="chunk-dcpcp-compress"),
+    pytest.param(
+        "chunk", "dcpcp", {"no_remote_precopy": True}, id="chunk-dcpcp-no-remote-precopy"
+    ),
+]
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("granularity", GRANULARITIES)
-def test_same_config_replay_is_byte_exact(mode, granularity, assert_replay_matches):
+
+@pytest.mark.parametrize("granularity,mode,extra", SAME_CONFIG_CASES)
+def test_same_config_replay_is_byte_exact(granularity, mode, extra, assert_replay_matches):
     cap = capture_cell(
-        dict(BASE, mode=mode, granularity=granularity, copy_granularity=granularity)
+        dict(
+            BASE, mode=mode, granularity=granularity, copy_granularity=granularity, **extra
+        )
     )
     cap = assert_replay_matches(cap)
     acc = cap.engine().faithful()
