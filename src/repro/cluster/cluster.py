@@ -51,6 +51,13 @@ class Cluster:
         self.app: Optional[ApplicationModel] = None
         self.ckpt_config: Optional[CheckpointConfig] = None
         self._built = False
+        # the build's choices, reused when a hard failure rebuilds a
+        # node (see :meth:`add_node`)
+        self._n_nodes_used = self.config.nodes
+        self._phantom = True
+        self._destination_factory = None
+        self._compression = None
+        self._tenancy: Dict[str, str] = {}
         #: rank states and remote helpers a hard failure replaced: no
         #: longer part of the cluster, but the work they did before the
         #: failure stays in the run's totals
@@ -101,58 +108,79 @@ class Cluster:
         if ranks_per_node is None:
             reserve = 1 if (ckpt_config.helper_core and with_remote) else 0
             ranks_per_node = self.config.node.cores - reserve
-        destination_factory = None
+        self._n_nodes_used = n_nodes
+        self._phantom = phantom
         if pfs is not None:
             from ..core.destination import PfsDestination
 
-            destination_factory = (
+            self._destination_factory = (
                 lambda ctx, rank, alloc: PfsDestination(pfs, rank, ctx, alloc)
             )
-        rank_index = 0
+        self._compression = compression
+        self._tenancy = dict(tenancy or {})
         for node in self.nodes[:n_nodes]:
-            for _ in range(ranks_per_node):
-                neighbors = self.topology.neighbors(node.node_id, degree=2)
-                node.add_rank(
-                    rank_index,
-                    app,
-                    ckpt_config,
-                    fabric=self.fabric,
-                    neighbors=[n for n in neighbors if n < n_nodes],
-                    timeline=self.timeline,
-                    phantom=phantom,
-                    destination_factory=destination_factory,
-                    tenant=(tenancy or {}).get(f"r{rank_index}", ""),
-                )
-                rank_index += 1
-        if with_remote:
-            for node in self.nodes[:n_nodes]:
+            buddy_id = None
+            if with_remote:
                 buddy_id = self.topology.buddy_of(node.node_id)
                 if buddy_id >= n_nodes:
                     buddy_id = (node.node_id + 1) % n_nodes
-                node.helper = RemoteHelper(
-                    node.node_id,
-                    node.ctx,
-                    self.fabric,
-                    buddy_id,
-                    self.nodes[buddy_id].ctx,
-                    [s.allocator for s in node.ranks],
-                    ckpt_config,
-                    timeline=self.timeline,
-                    compression=compression,
-                    tenants={
-                        s.rank: s.checkpointer.tenant
-                        for s in node.ranks
-                        if s.checkpointer.tenant
-                    },
-                )
-                # the remote stream's prediction rhythm follows each
-                # rank's local checkpoints
-                for state in node.ranks:
-                    state.checkpointer.on_complete.append(
-                        self._make_local_ckpt_hook(node, state.rank)
-                    )
+            first = node.node_id * ranks_per_node
+            self.add_node(node, range(first, first + ranks_per_node), buddy_id)
         self._built = True
         return self
+
+    def add_node(
+        self,
+        node: ClusterNode,
+        rank_indices,
+        buddy_id: Optional[int],
+        *,
+        resilience=None,
+    ) -> None:
+        """Give *node* the ranks *rank_indices* with the build's
+        choices and, unless *buddy_id* is None, a remote helper paired
+        with node *buddy_id*.  Used by :meth:`build` and by hard-failure
+        recovery (which passes the node's retrying transport)."""
+        neighbors = [
+            n
+            for n in self.topology.neighbors(node.node_id, degree=2)
+            if n < self._n_nodes_used
+        ]
+        for rank_index in rank_indices:
+            node.add_rank(
+                rank_index,
+                self.app,
+                self.ckpt_config,
+                fabric=self.fabric,
+                neighbors=neighbors,
+                timeline=self.timeline,
+                phantom=self._phantom,
+                destination_factory=self._destination_factory,
+                tenant=self._tenancy.get(f"r{rank_index}", ""),
+            )
+        if buddy_id is None:
+            return
+        node.helper = RemoteHelper(
+            node.node_id,
+            node.ctx,
+            self.fabric,
+            buddy_id,
+            self.nodes[buddy_id].ctx,
+            [s.allocator for s in node.ranks],
+            self.ckpt_config,
+            timeline=self.timeline,
+            compression=self._compression,
+            resilience=resilience,
+            tenants={
+                s.rank: s.checkpointer.tenant for s in node.ranks if s.checkpointer.tenant
+            },
+        )
+        # the remote stream's prediction rhythm follows each rank's
+        # local checkpoints
+        for state in node.ranks:
+            state.checkpointer.on_complete.append(
+                self._make_local_ckpt_hook(node, state.rank)
+            )
 
     def _make_local_ckpt_hook(self, node: ClusterNode, rank: str):
         def hook(stats) -> None:

@@ -17,7 +17,6 @@ unaffected.  Generator functions are DES fragments — drive them with
 from __future__ import annotations
 
 from ..metrics import timeline as tl
-from ..metrics.trace import BUS, FailoverEvent
 from .failures import FailureEvent
 from .node import ClusterNode, RankState
 
@@ -370,8 +369,6 @@ def fetch_source_for(runner, node: ClusterNode, old_helper) -> int:
 def recover_hard(runner, node: ClusterNode):
     """Replace the node, refetch its ranks' state from the buddy,
     survivors reload locally; roll back to the remote capture."""
-    from ..core.remote import RemoteHelper
-
     engine = runner.cluster.engine
     # which iteration did the buddy last capture for this node?
     rollback = 0
@@ -406,22 +403,14 @@ def recover_hard(runner, node: ClusterNode):
     if runner.directory is not None:
         runner.directory.mark_recovered(node.node_id)
         runner.cluster.fabric.end_outage(node.node_id)
-    # rebuild ranks on the fresh node
-    for rank_index in old_rank_indices:
-        neighbors = [
-            n
-            for n in runner.cluster.topology.neighbors(node.node_id, degree=2)
-            if runner.cluster.nodes[n].ranks
-        ]
-        node.add_rank(
-            rank_index,
-            runner.app,
-            runner.ckpt_config,
-            fabric=runner.cluster.fabric,
-            neighbors=neighbors,
-            timeline=runner.cluster.timeline,
-            phantom=True,
-        )
+    # rebuild ranks (and the helper, if the node had one) on the fresh
+    # node with the cluster's build choices
+    runner.cluster.add_node(
+        node,
+        old_rank_indices,
+        buddy_id if old_helper is not None else None,
+        resilience=runner.transports.get(node.node_id),
+    )
     # fetch the dead node's state from the buddy; survivors reload locally
     factor = (
         runner.failure_config.remote_restart_factor if runner.failure_config else 1.0
@@ -450,28 +439,11 @@ def recover_hard(runner, node: ClusterNode):
     if fetches:
         yield engine.all_of(fetches)
     # new background machinery for the replacement node
-    if runner.ckpt_config is not None and old_helper is not None:
-        node.helper = RemoteHelper(
-            node.node_id,
-            node.ctx,
-            runner.cluster.fabric,
-            buddy_id,
-            runner.cluster.nodes[buddy_id].ctx,
-            [s.allocator for s in node.ranks],
-            runner.ckpt_config,
-            timeline=runner.cluster.timeline,
-            resilience=runner.transports.get(node.node_id),
-        )
-        node.helper.start_background()
+    if node.helper is not None:
         runner._bg_procs.append(
             engine.process(node.helper.run(), name=f"{node.helper.owner}:rounds")
         )
-        # the rebuilt checkpointers must feed the new helper's
-        # stream queue, like Cluster.build wired the originals
         for state in node.ranks:
-            state.checkpointer.on_complete.append(
-                runner.cluster._make_local_ckpt_hook(node, state.rank)
-            )
             runner._attach_slo_observer(state)
         if runner.directory is not None:
             runner.directory._buddy[node.node_id] = buddy_id
@@ -506,33 +478,7 @@ def recover_hard(runner, node: ClusterNode):
         for n in runner.cluster.active_nodes:
             h = n.helper
             if h is not None and h.buddy_id == node.node_id and n is not node:
-                from ..core.destination import RemoteBuddyDestination
-                from ..core.remote import RemoteTarget
-
-                h.buddy_ctx = node.ctx
-                h.targets = {
-                    a.pid: RemoteTarget(
-                        a.pid, node.ctx, two_versions=runner.ckpt_config.two_versions
-                    )
-                    for a in h.ranks
-                }
-                for pid, target in h.targets.items():
-                    dest = h.destinations.get(pid)
-                    if dest is not None:
-                        dest.retarget(target)
-                    else:
-                        h.destinations[pid] = RemoteBuddyDestination(target, h)
-                if BUS.active:
-                    BUS.emit(
-                        FailoverEvent(
-                            t=engine.now,
-                            actor=h.owner,
-                            from_target=f"n{node.node_id}",
-                            to_target=f"n{node.node_id}",
-                            reason="buddy hardware replaced",
-                        )
-                    )
                 # every remote copy on the dead buddy is gone:
                 # everything must be re-sent
-                h.enqueue_all()
+                h.retarget(node.node_id, node.ctx, reason="buddy hardware replaced")
     return rollback

@@ -441,7 +441,6 @@ class ClusterRunner:
                     self.tuners.append(tuner.attach())
         for node in self.cluster.active_nodes:
             if node.helper is not None:
-                node.helper.start_background()
                 self._bg_procs.append(
                     engine.process(node.helper.run(), name=f"{node.helper.owner}:rounds")
                 )

@@ -262,22 +262,26 @@ class RamdiskDestination(Destination):
 
 class RemoteBuddyDestination(Destination):
     """The buddy node's remote arena, wrapping one
-    :class:`~repro.core.remote.RemoteTarget`.  ``write`` is the owning
-    :class:`~repro.core.remote.RemoteHelper`'s one fabric delivery
-    (:meth:`~repro.core.remote.RemoteHelper.send`);
+    :class:`~repro.core.remote.RemoteTarget` on node *buddy_id*.
+    ``write`` is the owning :class:`~repro.core.remote.RemoteHelper`'s
+    one fabric delivery (:meth:`~repro.core.remote.RemoteHelper.send`),
+    addressed to this destination's buddy node — the helper's current
+    pairing, or a migration's staging buddy;
     ``stage``/``commit``/``read`` are the target's own two-version
     protocol on the buddy's NVM."""
 
     name = "buddy"
     two_version = True
 
-    def __init__(self, target, helper) -> None:
+    def __init__(self, target, helper, buddy_id: int) -> None:
         self.target = target
         self.helper = helper
+        self.buddy_id = buddy_id
 
-    def retarget(self, target) -> None:
+    def retarget(self, target, buddy_id: int) -> None:
         """Point at a new buddy's :class:`RemoteTarget` after failover."""
         self.target = target
+        self.buddy_id = buddy_id
 
     @property
     def block_store(self) -> Optional[BlockStore]:  # type: ignore[override]
@@ -294,7 +298,7 @@ class RemoteBuddyDestination(Destination):
 
     def write(self, chunk: Chunk, nbytes: int, *, tag: str = ""):
         # *tag* names the traffic kind of the helper's send
-        return self.helper.send(self.target.src_pid, chunk, nbytes, kind=tag)
+        return self.helper.send(self, chunk, nbytes, kind=tag)
 
     def pending_extents(self, chunk: Chunk) -> List[Tuple[int, int]]:
         # ensure_chunk creates the buddy regions *and* the chunk's

@@ -307,7 +307,6 @@ class RemoteHelper:
         self.ctx = ctx
         self.fabric = fabric
         self.buddy_id = buddy_id
-        self.buddy_ctx = buddy_ctx
         self.ranks = ranks
         self.config = config or CheckpointConfig()
         self.timeline = timeline
@@ -322,16 +321,13 @@ class RemoteHelper:
         #: events so remote traffic is attributable in multi-tenant runs
         self.tenants: Dict[str, str] = dict(tenants or {})
         self.owner = f"n{node_id}:helper"
-        self.targets: Dict[str, RemoteTarget] = {
-            a.pid: RemoteTarget(a.pid, buddy_ctx, two_versions=self.config.two_versions)
-            for a in ranks
-        }
+        self.targets = self.new_targets(buddy_ctx)
         #: per-rank Destination view of the buddy arena: every send,
         #: stage, commit and read goes through the same backend protocol
         #: as the local tiers (multilevel checkpointing = local
         #: destination + this one)
         self.destinations: Dict[str, RemoteBuddyDestination] = {
-            pid: RemoteBuddyDestination(target, self)
+            pid: RemoteBuddyDestination(target, self, buddy_id)
             for pid, target in self.targets.items()
         }
         #: payload codec on the fabric path (None on the raw default).
@@ -511,43 +507,67 @@ class RemoteHelper:
             cost += nbytes * TRACKING_CPU_PER_BYTE
         self.ctx.cpu.charge(self.owner, cost)
 
-    def send(self, pid: str, chunk: Chunk, nbytes: int, *, kind: str):
+    def send(self, dest: RemoteBuddyDestination, chunk: Chunk, nbytes: int, *, kind: str):
         """Generator: the helper's one fabric delivery — *nbytes* of
-        rank *pid*'s *chunk* to the current buddy, *kind* naming the
-        traffic.  A compression model shrinks the wire bytes and
-        charges its CPU once per delivery (not per retry), while the
-        full payload still lands on the buddy's NVM bus.  With a
-        resilient transport a link flap retries instead of failing the
-        caller."""
+        *chunk* to *dest*'s buddy node, *kind* naming the traffic.  A
+        compression model shrinks the wire bytes and charges its CPU
+        once per delivery (not per retry), while the full payload still
+        lands on the buddy's NVM bus.  With a resilient transport a
+        link flap retries instead of failing the caller."""
+        buddy_ctx = dest.target.dst_ctx
         landed = nbytes
         if self.compression is not None:
             nbytes = self.compression.wire_bytes(chunk)
             landed = chunk.nbytes
             self.ctx.cpu.charge(self.owner, self.compression.compress_cost(chunk.nbytes))
-            self.buddy_ctx.cpu.charge(
+            buddy_ctx.cpu.charge(
                 f"{self.owner}:rx", self.compression.decompress_cost(chunk.nbytes)
             )
-        tag = f"{pid}:{kind}"
+        tag = f"{dest.target.src_pid}:{kind}"
         if self.resilience is not None:
             yield from self.resilience.put(
                 self.fabric,
                 self.node_id,
-                self.buddy_id,
+                dest.buddy_id,
                 nbytes,
                 tag=tag,
-                dst_nvm_bus=self.buddy_ctx.nvm_bus,
+                dst_nvm_bus=buddy_ctx.nvm_bus,
                 dst_nvm_bytes=landed,
             )
         else:
             yield rdma_put(
                 self.fabric,
                 self.node_id,
-                self.buddy_id,
+                dest.buddy_id,
                 nbytes,
                 tag=tag,
-                dst_nvm_bus=self.buddy_ctx.nvm_bus,
+                dst_nvm_bus=buddy_ctx.nvm_bus,
                 dst_nvm_bytes=landed,
             )
+
+    def copy_labels(self, pid: str, phase: str) -> dict:
+        """The ``chunk.copied`` labels of one of this helper's copies
+        of rank *pid*'s chunk; *phase* names the traffic (``precopy``,
+        ``coordinated``, ``resync`` or ``migration``)."""
+        return dict(
+            actor=self.owner,
+            stream="remote",
+            phase=phase,
+            destination=RemoteBuddyDestination.name,
+            tenant=self.tenants.get(pid, ""),
+        )
+
+    def pace(self, t0: float, nbytes: int, rate: float, deadline: float = float("inf")):
+        """Generator: sleep until a copy of *nbytes* started at *t0*
+        has taken at least ``nbytes / rate`` seconds, never past
+        *deadline* — the stream, re-sync and migration pacing."""
+        engine = self.ctx.engine
+        if rate <= 0:
+            return
+        target_duration = nbytes / rate
+        elapsed = engine.now - t0
+        if elapsed < target_duration and engine.now < deadline:
+            yield engine.timeout(min(target_duration - elapsed, deadline - engine.now))
 
     def _copy(self, pid: str, chunk: Chunk, *, streamed: bool):
         """Generator: one chunk to the buddy through the copy step, as
@@ -567,13 +587,7 @@ class RemoteHelper:
             self.codec,
             incremental=self.incremental,
             tag="rprecopy" if streamed else "rckpt",
-            labels=dict(
-                actor=self.owner,
-                stream="remote",
-                phase="precopy" if streamed else "coordinated",
-                destination=dest.name,
-                tenant=self.tenants.get(pid, ""),
-            ),
+            labels=self.copy_labels(pid, "precopy" if streamed else "coordinated"),
             before_write=before_send,
         )
         self._record_replicated(pid, chunk)
@@ -593,6 +607,13 @@ class RemoteHelper:
     def resume_rounds(self) -> None:
         self._paused = False
         self._kick()
+
+    def new_targets(self, buddy_ctx: NodeContext) -> Dict[str, RemoteTarget]:
+        """Empty buddy-side targets on *buddy_ctx*, one per rank."""
+        return {
+            a.pid: RemoteTarget(a.pid, buddy_ctx, two_versions=self.config.two_versions)
+            for a in self.ranks
+        }
 
     def retarget(
         self,
@@ -621,7 +642,6 @@ class RemoteHelper:
         self._known_targets[old_buddy] = self.targets
         self.epoch += 1
         self.buddy_id = new_buddy_id
-        self.buddy_ctx = new_buddy_ctx
         cached = self._known_targets.get(new_buddy_id)
         reuse = (
             incremental
@@ -636,18 +656,9 @@ class RemoteHelper:
             # buddy held is void
             self._replicated.pop(new_buddy_id, None)
             self._known_targets.pop(new_buddy_id, None)
-            self.targets = {
-                a.pid: RemoteTarget(
-                    a.pid, new_buddy_ctx, two_versions=self.config.two_versions
-                )
-                for a in self.ranks
-            }
+            self.targets = self.new_targets(new_buddy_ctx)
         for pid, target in self.targets.items():
-            dest = self.destinations.get(pid)
-            if dest is not None:
-                dest.retarget(target)
-            else:
-                self.destinations[pid] = RemoteBuddyDestination(target, self)
+            self.destinations[pid].retarget(target, new_buddy_id)
         if self.codec is not None:
             # a reused target keeps its digest index (its copies are
             # still resident); fresh hardware starts an empty one
@@ -667,10 +678,6 @@ class RemoteHelper:
             self.enqueue_unreplicated()
         else:
             self.enqueue_all()
-
-    def start_background(self) -> None:
-        """The stream runs inside :meth:`run`; nothing extra to spawn.
-        Kept for interface symmetry with the local checkpointer."""
 
     def stop(self) -> None:
         self._stop = True
@@ -747,10 +754,7 @@ class RemoteHelper:
             if self.timeline is not None:
                 self.timeline.record(self.owner, tl.REMOTE_PRECOPY, t0, engine.now)
             # pacing: never run faster than pace_rate on average
-            target_duration = wire / self.pace_rate
-            elapsed = engine.now - t0
-            if elapsed < target_duration and engine.now < deadline:
-                yield engine.timeout(min(target_duration - elapsed, deadline - engine.now))
+            yield from self.pace(t0, wire, self.pace_rate, deadline)
 
     # ------------------------------------------------------------------
     # One coordinated remote round.

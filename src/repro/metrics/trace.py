@@ -134,7 +134,11 @@ class ChunkCopiedEvent(TraceEvent):
     nbytes: int
     start: float  # span begin (t is the end)
     stream: str  # local | remote
-    phase: str  # coordinated | precopy
+    #: coordinated | precopy, and for the remote stream also resync (a
+    #: background re-sync to a re-paired buddy) or migration (a live
+    #: migration batch to a new buddy) — the timeline kinds of those
+    #: phases
+    phase: str
     destination: str = ""
     #: pages moved by this copy (page-granular mode counts only the
     #: stale extents; chunk-granular mode counts the whole chunk)

@@ -70,6 +70,12 @@ class ReplayAccounting:
     remote_round_bytes: int = 0
     #: remote streaming pre-copy bytes (== remote_precopy_bytes)
     remote_stream_bytes: int = 0
+    #: bytes re-sent to a re-paired buddy by background re-syncs
+    #: (== RunResult.resync_bytes when every re-sync completed)
+    resync_bytes: int = 0
+    #: bytes moved to a new buddy by live migrations
+    #: (== RunResult.migration_bytes when every migration cut over)
+    migration_bytes: int = 0
     #: bytes the payload codec kept off the wire, any stream
     #: (``logical_bytes - nbytes`` summed over codec-planned copies;
     #: raw copies carry ``logical_bytes == nbytes``, so a raw run
@@ -104,6 +110,10 @@ def accounting_from_events(events: List[TraceEvent]) -> ReplayAccounting:
             if ev.stream == "remote":
                 if ev.phase == "precopy":
                     acc.remote_stream_bytes += ev.nbytes
+                elif ev.phase == "resync":
+                    acc.resync_bytes += ev.nbytes
+                elif ev.phase == "migration":
+                    acc.migration_bytes += ev.nbytes
                 else:
                     acc.remote_round_bytes += ev.nbytes
             elif ev.phase == "precopy":

@@ -23,8 +23,10 @@ Three pieces:
   latencies and tells the executor to throttle (half pace) or pause
   batches while the configured latency SLO is at risk;
 * :class:`MigrationTask` — the epoch-guarded DES process executing one
-  plan: stage bounded batches on the new buddy, commit each batch
-  (crash points in the ``migrate`` layer), then cut ownership over via
+  plan: copy bounded batches to the new buddy through the copy step
+  (:func:`~repro.core.copystep.copy_chunk`, over a buddy destination on
+  the task's private staging targets), commit each batch (crash points
+  in the ``migrate`` layer), then cut ownership over via
   ``helper.retarget(..., incremental=True)``.  On abort the pairing is
   untouched (the old buddy still protects the source); failover-driven
   callers fall back to a full :class:`~repro.resilience.resync.ResyncTask`.
@@ -35,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..core.copystep import copy_chunk
+from ..core.destination import RemoteBuddyDestination
 from ..core.remote import RemoteTarget
 from ..errors import TransferCancelled, TransferFailed
 from ..faults.crashpoints import fire
@@ -47,7 +51,6 @@ from ..metrics.trace import (
     MigrationCutoverEvent,
     MigrationPlannedEvent,
 )
-from ..net.rdma import rdma_put
 
 __all__ = ["MigrationPlan", "MigrationPlanner", "SloGuard", "MigrationTask"]
 
@@ -281,9 +284,11 @@ class MigrationTask:
         self.epoch = helper.epoch
         #: staging targets on the new buddy — adopted wholesale by the
         #: incremental retarget at cutover
-        self.targets: Dict[str, RemoteTarget] = {
-            a.pid: RemoteTarget(a.pid, to_ctx, two_versions=helper.config.two_versions)
-            for a in helper.ranks
+        self.targets: Dict[str, RemoteTarget] = helper.new_targets(to_ctx)
+        #: the helper's one delivery, addressed to the new buddy
+        self.destinations: Dict[str, RemoteBuddyDestination] = {
+            pid: RemoteBuddyDestination(target, helper, plan.to_buddy)
+            for pid, target in self.targets.items()
         }
         #: (pid, chunk_id) -> commit generation sent, recorded at stage
         #: time but published into the helper's ``_replicated`` map only
@@ -305,30 +310,6 @@ class MigrationTask:
 
     def _stale(self) -> bool:
         return self.helper.epoch != self.epoch or self.helper._stop
-
-    def _deliver(self, pid: str, chunk):
-        """One chunk across the fabric to the *new* buddy (the helper's
-        own transport points at the old one)."""
-        helper = self.helper
-        tag = f"{pid}:migrate"
-        if helper.resilience is not None and helper.compression is None:
-            yield from helper.resilience.put(
-                helper.fabric,
-                helper.node_id,
-                self.plan.to_buddy,
-                chunk.nbytes,
-                tag=tag,
-                dst_nvm_bus=self.to_ctx.nvm_bus,
-            )
-            return
-        yield rdma_put(
-            helper.fabric,
-            helper.node_id,
-            self.plan.to_buddy,
-            chunk.nbytes,
-            tag=tag,
-            dst_nvm_bus=self.to_ctx.nvm_bus,
-        )
 
     def _abort(self, reason: str) -> None:
         self.aborted = True
@@ -402,17 +383,32 @@ class MigrationTask:
                     i += 1
                 t_batch = engine.now
                 for pid, chunk in batch:
-                    while True:
-                        t0 = engine.now
-                        helper._charge_cpu(chunk.nbytes, streamed=True)
+
+                    def before_send(wire: int, chunk=chunk, pid=pid) -> None:
+                        helper._charge_cpu(wire, streamed=True)
                         fire(
                             "migrate.batch.before_send",
                             chunk=chunk,
                             pid=pid,
                             plan=self.plan,
                         )
+
+                    while True:
+                        t0 = engine.now
                         try:
-                            yield from self._deliver(pid, chunk)
+                            # a copy that lands after a retarget went to
+                            # a pairing that no longer exists: not staged
+                            yield from copy_chunk(
+                                engine,
+                                chunk,
+                                self.destinations[pid],
+                                None,
+                                incremental=False,
+                                tag="migrate",
+                                labels=helper.copy_labels(pid, "migration"),
+                                before_write=before_send,
+                                after_write=lambda _chunk: not self._stale(),
+                            )
                         except (TransferCancelled, TransferFailed):
                             failures += 1
                             if failures >= self.failure_limit:
@@ -426,11 +422,8 @@ class MigrationTask:
                         break
                     failures = 0
                     if self._stale():
-                        # retargeted while in flight: payload landed on
-                        # a pairing that no longer exists
                         self._abort("stale")
                         return self
-                    self.targets[pid].stage(chunk)
                     key = (pid, chunk.chunk_id)
                     self._staged_replicated[key] = helper._dirty_epoch.get(key, 0)
                     fire(
@@ -447,11 +440,7 @@ class MigrationTask:
                     rate = helper.pace_rate * self.pace_fraction
                     if throttled:
                         rate *= 0.5
-                    if rate > 0 and rate != float("inf"):
-                        target_duration = chunk.nbytes / rate
-                        elapsed = engine.now - t0
-                        if elapsed < target_duration:
-                            yield engine.timeout(target_duration - elapsed)
+                    yield from helper.pace(t0, chunk.nbytes, rate)
                 # bounded-batch commit: the new buddy's copies become
                 # durable *now*, while the old pairing still owns
                 for target in self.targets.values():

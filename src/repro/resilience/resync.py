@@ -9,6 +9,10 @@ stream, so the re-sync does not flood the fabric), staging each chunk
 on the new target and committing everything at the end — one atomic
 buddy-side version flip, exactly like a coordinated round.
 
+Each chunk moves through the copy step
+(:func:`~repro.core.copystep.copy_chunk`) as a raw whole-chunk payload
+to the helper's buddy destination.
+
 The helper's normal rounds are paused for the duration (the round and
 the re-sync would race on the same queue); they resume when the task
 finishes or aborts.  Chunks committed locally *during* the re-sync are
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from ..core.copystep import copy_chunk
 from ..errors import TransferCancelled, TransferFailed
 from ..metrics import timeline as tl
 from ..metrics.timeline import Timeline
@@ -84,10 +89,20 @@ class ResyncTask:
                     break
                 pid, chunk = item
                 t0 = engine.now
-                helper._charge_cpu(chunk.nbytes, streamed=True)
                 try:
-                    yield from helper.destinations[pid].write(
-                        chunk, chunk.nbytes, tag="resync"
+                    # a copy that lands after a retarget went to the
+                    # *old* buddy: it is not staged, and the task for
+                    # the new pairing owns the queue now
+                    yield from copy_chunk(
+                        engine,
+                        chunk,
+                        helper.destinations[pid],
+                        None,
+                        incremental=False,
+                        tag="resync",
+                        labels=helper.copy_labels(pid, "resync"),
+                        before_write=lambda wire: helper._charge_cpu(wire, streamed=True),
+                        after_write=lambda _chunk: not self._stale(),
                     )
                 except (TransferCancelled, TransferFailed):
                     helper._queue.setdefault((pid, chunk.chunk_id), chunk)
@@ -112,20 +127,13 @@ class ResyncTask:
                     continue
                 failures = 0
                 if self._stale():
-                    # retargeted while this chunk was in flight: the
-                    # payload went to the *old* ctx; the new task owns
-                    # the queue now
                     break
-                helper.targets[pid].stage(chunk)
                 helper._record_replicated(pid, chunk)
                 chunk.set_dirty("remote", False)
                 self.bytes_sent += chunk.nbytes
                 self.chunks_sent += 1
                 # pace like the stream: never faster than pace_rate
-                target_duration = chunk.nbytes / helper.pace_rate
-                elapsed = engine.now - t0
-                if elapsed < target_duration:
-                    yield engine.timeout(target_duration - elapsed)
+                yield from helper.pace(t0, chunk.nbytes, helper.pace_rate)
             if helper._stop or self._stale():
                 self.aborted = True
                 return self

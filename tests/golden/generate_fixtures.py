@@ -7,7 +7,7 @@ simulated semantics (and say so in the PR):
 
     PYTHONPATH=src python tests/golden/generate_fixtures.py
 
-Four fixtures:
+Five fixtures:
 
 * ``pinned_grid_records.json`` — the 16-cell pinned bench grid
   (``repro.tools.bench.PINNED_GRID``) executed on the serial reference
@@ -29,6 +29,10 @@ Four fixtures:
   the local and remote tiers, the raw wire-compression model, and a
   hard-failure schedule (degraded mode, and a buddy re-sync through
   the helper's send).
+* ``elastic_records.json`` — the three arms of the elastic
+  grow/shrink scenario (``repro.tools.elastic``, seed 11): clean, the
+  full-resync baseline and the elastic arm (buddy re-syncs, a live
+  migration in bounded batches, incremental failover).
 """
 
 from __future__ import annotations
@@ -206,6 +210,24 @@ def codec_remote_records(trace=None) -> list:
     return records
 
 
+#: seed of the elastic scenario's three arms
+ELASTIC_SEED = 11
+
+
+def elastic_records() -> list:
+    """``RunResult.to_dict()`` of the elastic scenario's clean run, its
+    full-resync baseline and its elastic arm, in that order.  The
+    elastic arm's SLO is calibrated from the other two exactly as
+    :func:`repro.tools.elastic.run_elastic_block` does."""
+    from repro.tools import elastic
+
+    clean_res, clean_worst = elastic.run_clean(seed=ELASTIC_SEED)
+    b_cluster, _, b_res = elastic.run_full_resync_baseline(seed=ELASTIC_SEED)
+    slo = elastic.SLO_HEADROOM * max(clean_worst, elastic._worst_latency(b_cluster))
+    _, _, e_res = elastic.run_elastic(slo, seed=ELASTIC_SEED)
+    return [clean_res.to_dict(), b_res.to_dict(), e_res.to_dict()]
+
+
 def main() -> int:
     grid = pinned_grid_records()
     with open(os.path.join(FIXTURE_DIR, "pinned_grid_records.json"), "w") as fh:
@@ -224,6 +246,12 @@ def main() -> int:
         json.dump(codec, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"codec_remote_records.json: {len(codec)} cells")
+
+    elastic = elastic_records()
+    with open(os.path.join(FIXTURE_DIR, "elastic_records.json"), "w") as fh:
+        json.dump(elastic, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"elastic_records.json: {len(elastic)} runs")
 
     schedules = [standalone_schedule(mode) for mode in MODES]
     with open(os.path.join(FIXTURE_DIR, "standalone_schedules.json"), "w") as fh:

@@ -109,3 +109,14 @@ def test_codec_remote_grid_matches_golden():
     live = _roundtrip(gen.codec_remote_records())
     assert len(live) == 4
     assert live == stored
+
+
+def test_elastic_matches_golden():
+    """The elastic scenario's three arms — clean, full-resync baseline
+    and elastic (buddy re-syncs, a live migration, incremental
+    failover) — reproduce the records captured before re-sync and
+    migration moved onto the copy step."""
+    stored = _fixture("elastic_records.json")
+    live = _roundtrip(gen.elastic_records())
+    assert len(live) == 3
+    assert live == stored

@@ -121,6 +121,84 @@ class TestElasticScenario:
 
 
 # ---------------------------------------------------------------------------
+# Migration copies through the helper's one delivery.
+# ---------------------------------------------------------------------------
+
+
+class TestMigrationUnderCompression:
+    """A migration moves each chunk through the copy step and the
+    helper's one fabric delivery, addressed to the new buddy: under a
+    compression model the wire volume shrinks and a link flap retries
+    through the resilient transport, as for the stream, the rounds and
+    the re-syncs."""
+
+    def run_migration(self, cancel_at=None):
+        from repro.alloc import NVAllocator
+        from repro.config import CheckpointConfig
+        from repro.core import CompressionModel, RemoteHelper, make_standalone_context
+        from repro.net import Fabric
+        from repro.resilience import MigrationTask, ResilientTransport, RetryPolicy
+        from repro.resilience.migration import MigrationPlan
+        from repro.sim import Engine
+        from repro.sim.rng import RngStreams
+        from repro.units import MB
+
+        engine = Engine()
+        src, old, new = (
+            make_standalone_context(name=f"n{i}", engine=engine) for i in range(3)
+        )
+        fabric = Fabric(engine, 3)
+        alloc = NVAllocator("r0", src.nvmm, src.dram, phantom=True,
+                            clock=lambda: engine.now)
+        alloc.nvalloc("x", MB(8)).committed_version = 0
+        transport = ResilientTransport(
+            0, RngStreams(5), RetryPolicy(base_delay=0.5, max_delay=4.0, jitter=0.0)
+        )
+        helper = RemoteHelper(
+            0, src, fabric, 1, old, [alloc],
+            CheckpointConfig(remote_precopy=False, remote_interval=30.0),
+            compression=CompressionModel(phantom_ratio=0.5),
+            resilience=transport,
+        )
+        task = MigrationTask(
+            helper, MigrationPlan(node=0, from_buddy=1, to_buddy=2, reason="join"), new,
+            batch_bytes=MB(8),
+        )
+        if cancel_at is not None:
+            # tear the in-flight send down once, as a failure elsewhere
+            # in the cluster does
+            engine.call_at(cancel_at, lambda: fabric.links[0].egress.cancel_matching(None))
+        with BUS.capture() as ring:
+            engine.process(task.run())
+            engine.run()
+        return task, helper, fabric, old, new, transport, ring
+
+    def test_compressed_to_the_new_buddy(self):
+        from repro.units import MB
+
+        task, helper, fabric, old, new, transport, ring = self.run_migration()
+        assert task.completed and helper.buddy_id == 2
+        assert task.bytes_sent == MB(8)
+        # half the payload crossed the fabric; all of it landed on the
+        # new buddy's NVM, which also paid the decompression
+        assert fabric.total_bytes() == pytest.approx(MB(4), abs=1.0)
+        assert new.nvm.wear.bytes_written == MB(8)
+        assert new.cpu.busy_time(f"{helper.owner}:rx") > 0
+        assert old.cpu.busy_time(f"{helper.owner}:rx") == 0
+        assert transport.stats.delivered == 1
+        copies = ring.of_kind("chunk.copied")
+        assert [(e.stream, e.phase, e.nbytes) for e in copies] == [
+            ("remote", "migration", MB(8))
+        ]
+
+    def test_cancelled_send_retries_through_transport(self):
+        task, _, _, _, _, transport, _ = self.run_migration(cancel_at=1e-4)
+        assert task.completed
+        assert transport.stats.cancelled == 1 and transport.stats.retries == 1
+        assert transport.stats.delivered == 1
+
+
+# ---------------------------------------------------------------------------
 # Drain with live evacuation (and the migrate.* crash points).
 # ---------------------------------------------------------------------------
 

@@ -149,6 +149,43 @@ def test_replay_record_marks_faithful_vs_model():
     assert other["replay.coordinated_gb"] >= same["replay.coordinated_gb"]
 
 
+#: the failure cell of the benchmark's held-back ``failures`` workload
+#: (2 x 4 LAMMPS, dcpcp, MTBF 120/480 s) and its three pinned schedules,
+#: each with hard failures that re-pair a buddy and re-sync it
+FAILURE_CELL = dict(
+    BASE, ranks_per_node=4, mode="dcpcp", iterations=12, mtbf_local=120, mtbf_remote=480
+)
+FAILURE_SEEDS = [137265338757392, 53603676530129, 33087131855329]
+
+
+@pytest.mark.parametrize("seed", FAILURE_SEEDS)
+def test_resync_bytes_replay_exactly(seed, assert_replay_matches):
+    """Re-sync copies emit ``chunk.copied`` with phase ``resync``; the
+    trace reproduces the live re-sync bytes and keeps them out of the
+    remote round bytes (the oracle checks those)."""
+    cap = assert_replay_matches(dict(FAILURE_CELL, seed=seed))
+    acc = cap.engine().faithful()
+    assert cap.result.resync_bytes > 0
+    assert acc.resync_bytes == cap.result.resync_bytes
+    assert acc.migration_bytes == cap.result.migration_bytes == 0
+
+
+def test_elastic_resync_and_migration_bytes_replay_exactly():
+    """The elastic scenario's arm re-syncs and migrates: the trace
+    reproduces both byte counts."""
+    from repro.metrics.trace import BUS, RingBufferSink
+    from repro.replay import accounting_from_events
+    from repro.tools.elastic import run_elastic
+
+    with BUS.capture(RingBufferSink(capacity=None)) as sink:
+        _, _, res = run_elastic(0.25)
+    acc = accounting_from_events(list(sink.events))
+    assert res.resync_bytes > 0 and res.migration_bytes > 0
+    assert acc.resync_bytes == res.resync_bytes
+    assert acc.migration_bytes == res.migration_bytes
+    assert acc.remote_round_bytes == res.remote_round_bytes
+
+
 def test_hard_failure_keeps_replaced_ranks_work(assert_replay_matches):
     """A hard failure rebuilds the node's ranks and helper; the work the
     old ones did before the failure must stay in the run's totals, so

@@ -1,12 +1,16 @@
 """Runner and cluster edge cases: buddy loss, consecutive failures,
 PFS-mode interplay, degenerate configurations."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps import SyntheticModel
-from repro.baselines import precopy_config
-from repro.cluster import Cluster, ClusterRunner
+from repro.baselines import PfsModel, precopy_config
+from repro.cluster import Cluster, ClusterRunner, FailureEvent, ScriptedInjector
 from repro.config import CheckpointConfig, ClusterConfig, FailureConfig, PrecopyPolicy
+from repro.core import CompressionModel
+from repro.core.destination import PfsDestination
 from repro.errors import ClusterError
 from repro.units import GB_per_sec
 
@@ -35,7 +39,7 @@ class TestBuddyLossRecovery:
         dead = next(n for n in cluster.nodes if n.incarnation > 0)
         survivor = next(n for n in cluster.nodes if n is not dead)
         assert survivor.helper is not None
-        assert survivor.helper.buddy_ctx is dead.ctx
+        assert all(t.dst_ctx is dead.ctx for t in survivor.helper.targets.values())
 
     def test_remote_protection_reestablished_after_buddy_loss(self):
         """After the replacement, later rounds repopulate the remote
@@ -55,6 +59,86 @@ class TestBuddyLossRecovery:
             for v in t.committed.values()
         ]
         assert committed and all(v >= 0 for v in committed)
+
+
+    def test_buddy_replacement_keeps_codec_block_store(self):
+        """Without the resilience layer, a survivor whose buddy was
+        replaced is re-pointed at the new hardware through the helper's
+        retarget, which also gives the fresh targets the codec's digest
+        index: page-granular codec copies to the replacement work."""
+        cfg = precopy_config(10, 30)
+        cfg = replace(
+            cfg,
+            precopy=replace(cfg.precopy, codec="auto", copy_granularity="page"),
+            resilience=replace(cfg.resilience, enabled=False),
+        )
+        cluster = Cluster(ClusterConfig(nodes=2), nvm_write_bandwidth=GB_per_sec(2.0), seed=13)
+        cluster.build(tiny_app(), cfg, ranks_per_node=2)
+        runner = ClusterRunner(
+            cluster, injector=ScriptedInjector([FailureEvent(time=25.0, node=1, kind="hard")])
+        )
+        res = runner.run(6)
+        assert res.hard_failures == 1
+        survivor = cluster.nodes[0]
+        assert all(
+            t.dst_ctx is cluster.nodes[1].ctx for t in survivor.helper.targets.values()
+        )
+        for dest in survivor.helper.destinations.values():
+            assert dest.block_store is not None
+        # the survivor's rounds after the replacement re-covered it
+        assert all(
+            v >= 0 for t in survivor.helper.targets.values() for v in t.committed.values()
+        )
+
+
+def run_with_replaced_node(**build_kw):
+    """2 nodes x 2 ranks; node 0 fails hard after its first checkpoint
+    and is rebuilt on replacement hardware."""
+    cluster = Cluster(ClusterConfig(nodes=2), nvm_write_bandwidth=GB_per_sec(2.0), seed=3)
+    cluster.build(tiny_app(checkpoint_mb_per_rank=4, chunk_mb=2), precopy_config(10, 30),
+                  ranks_per_node=2, **build_kw)
+    runner = ClusterRunner(
+        cluster, injector=ScriptedInjector([FailureEvent(time=25.0, node=0, kind="hard")])
+    )
+    res = runner.run(4)
+    assert res.hard_failures == 1 and cluster.nodes[0].incarnation == 1
+    return cluster, res
+
+
+class TestNodeRebuild:
+    """A hard failure rebuilds the node's ranks and helper with the
+    choices the cluster was built with."""
+
+    def test_rebuilt_ranks_keep_pfs_backend(self):
+        cluster = Cluster(ClusterConfig(nodes=2), seed=3)
+        pfs = PfsModel(cluster.engine, aggregate_bandwidth=GB_per_sec(5.0))
+        cluster.build(tiny_app(checkpoint_mb_per_rank=4, chunk_mb=2), precopy_config(10, 30),
+                      ranks_per_node=2, pfs=pfs, with_remote=False)
+        runner = ClusterRunner(
+            cluster, injector=ScriptedInjector([FailureEvent(time=25.0, node=0, kind="hard")])
+        )
+        assert runner.run(4).hard_failures == 1
+        assert cluster.nodes[0].incarnation == 1
+        for state in cluster.all_ranks():
+            assert isinstance(state.checkpointer.destination, PfsDestination)
+
+    def test_rebuilt_helper_keeps_compression(self):
+        model = CompressionModel(phantom_ratio=0.6)
+        cluster, _ = run_with_replaced_node(compression=model)
+        assert cluster.nodes[0].helper.compression is model
+        assert cluster.nodes[0].helper.total_remote_bytes > 0
+
+    def test_rebuilt_ranks_keep_tenants(self):
+        tenancy = {"r0": "gold", "r1": "bronze", "r2": "gold", "r3": "bronze"}
+        cluster, _ = run_with_replaced_node(tenancy=tenancy)
+        assert {s.rank: s.checkpointer.tenant for s in cluster.all_ranks()} == tenancy
+        assert cluster.nodes[0].helper.tenants == {"r0": "gold", "r1": "bronze"}
+
+    def test_rebuilt_ranks_keep_real_payloads(self):
+        cluster, _ = run_with_replaced_node(phantom=False)
+        for state in cluster.nodes[0].ranks:
+            assert not state.allocator.phantom
+            assert all(not c.phantom for c in state.allocator.chunks())
 
 
 class TestConsecutiveFailures:
